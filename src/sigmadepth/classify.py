@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 
 from .depth import DepthConfig, DepthEvaluator, compute_depth
 from .errors import InputError
-from .geometry import DEFAULT_EPS, GeomTolerance, as_point, convex_hull_contains
+from .geometry import DEFAULT_EPS, GeomTolerance, as_point, convex_hull_contains_many
 from .sigma import as_points
 
 __all__ = [
@@ -291,8 +291,8 @@ def _hull_contains_mask(train, X, tol: GeomTolerance):
         dist = X @ normals.T + offsets
         return (dist <= tol.eps + 1e-12).all(axis=1)
     except QhullError:
-        # degenerate training cloud (collinear etc.): per-point LP fallback
-        return np.array([convex_hull_contains(train, x, tol) for x in X], dtype=bool)
+        # degenerate training cloud (collinear etc.): screened hull LP
+        return convex_hull_contains_many(train, X, tol)
 
 
 def outsider_mask(train1, train2, test, tol: GeomTolerance | None = None):

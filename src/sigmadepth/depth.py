@@ -186,10 +186,11 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigma: float, eps: 
 
     A pair (a <= b) dilated by sigma with barycentric slack eps contains x
     iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and
-    t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from sorted
-    searchsorted prefix sums in O((n + q) log n) instead of enumerating
-    pairs.  Pairs of exactly equal values use the degenerate point rule
-    |x - a| <= eps, matching the hull fallback of the matrix kernel.
+    t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from n binary
+    searches over the sorted values per query, O(q * n log n) in all,
+    instead of enumerating the n^2/2 pairs.  Pairs of exactly equal values
+    use the degenerate point rule |x - a| <= eps, matching the hull
+    fallback of the matrix kernel.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
@@ -381,8 +382,9 @@ class DepthEvaluator:
         return counts
 
     def depths(self, X) -> np.ndarray:
-        counts = self.contain_counts(X)
-        return np.array([c / self.n_simplices for c in counts.tolist()])
+        # Counts and totals below 2^53 are exact doubles, so this rounds the
+        # exact quotient just as Python's int / int does.
+        return self.contain_counts(X) / self.n_simplices
 
     def depth_value(self, x) -> DepthValue:
         x = as_point(x)

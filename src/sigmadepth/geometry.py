@@ -7,7 +7,12 @@ point exactly on a facet counts as inside regardless of rounding.
 
 Degenerate (affinely dependent) simplices are legal: containment then
 falls back to convex-hull membership of the vertex set, so duplicated
-data points behave deterministically.
+data points behave deterministically.  Hull membership means sup-norm
+distance at most eps, in data units.  A point-like vertex set is decided
+by the distance to its first vertex.  Otherwise two cheap lower bounds
+on the distance (the gap to the vertices' bounding box and to their
+affine span) rule out far queries, and the hull LP runs only for the
+queries they cannot rule out, so it still makes every "inside" decision.
 """
 
 from __future__ import annotations
@@ -61,9 +66,13 @@ def bary_affine_parts(verts: np.ndarray):
 
     For a batch of simplices (m, d+1, d) the coordinates of a query x
     satisfy alpha(x) * det = const + lin @ x.  Returns (const (m, d+1),
-    lin (m, d+1, d), det (m,), scale (m,)) where scale is the Hadamard
-    bound of the homogeneous vertex matrix, used for the relative
-    singularity test |det| <= PIVOT_RTOL * scale.
+    lin (m, d+1, d), det (m,), scale (m,)).  det and lin come from the
+    edge vectors v_i - v_0, and const_i = -lin_i @ v_j for a vertex
+    v_j != v_i, so the rounding in const + lin @ x grows like |x| * |lin|,
+    not like |x|^2.  scale = max_i |v_i| * max_i |v_i - v_0|^(d-1), in
+    sup norms, bounds that growth, and the singularity test is
+    |det| <= PIVOT_RTOL * scale: a simplex whose det the rounding could
+    swamp counts as degenerate.
 
     Closed forms for d = 1, 2 keep the hot paths division-free; larger d
     goes through batched LAPACK.
@@ -73,48 +82,45 @@ def bary_affine_parts(verts: np.ndarray):
     if k != d + 1:
         raise InputError(f"expected (m, d+1, d) vertex array, got {verts.shape}")
 
-    # Hadamard bound: product of row norms of [[coords], [1 ... 1]].
-    scale = np.sqrt(k) * np.prod(np.linalg.norm(verts, axis=1), axis=1)
+    E = verts[:, 1:] - verts[:, :1]
+    scale = _row_absmax(verts) * _row_absmax(E) ** (d - 1)
 
+    lin = np.zeros((m, k, d))
     if d == 1:
-        a = verts[:, 0, 0]
-        b = verts[:, 1, 0]
-        det = a - b
-        const = np.stack([-b, a], axis=1)
-        lin = np.empty((m, 2, 1))
+        det = verts[:, 0, 0] - verts[:, 1, 0]
         lin[:, 0, 0] = 1.0
         lin[:, 1, 0] = -1.0
-        return const, lin, det, scale
-
-    if d == 2:
+    elif d == 2:
         ax, ay = verts[:, 0, 0], verts[:, 0, 1]
         bx, by = verts[:, 1, 0], verts[:, 1, 1]
         cx, cy = verts[:, 2, 0], verts[:, 2, 1]
-        const = np.stack(
-            [bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx], axis=1
-        )
-        lin = np.empty((m, 3, 2))
         lin[:, 0, 0] = by - cy
         lin[:, 0, 1] = cx - bx
         lin[:, 1, 0] = cy - ay
         lin[:, 1, 1] = ax - cx
         lin[:, 2, 0] = ay - by
         lin[:, 2, 1] = bx - ax
-        det = const.sum(axis=1)
-        return const, lin, det, scale
-
-    # Generic path: alpha = M^{-1} [x; 1]; multiply through by det.
-    M = np.empty((m, k, k))
-    M[:, :d, :] = verts.transpose(0, 2, 1)
-    M[:, d, :] = 1.0
-    det = np.linalg.det(M)
-    good = np.abs(det) > PIVOT_RTOL * scale
-    adj = np.zeros_like(M)
-    if np.any(good):
-        adj[good] = np.linalg.inv(M[good]) * det[good, None, None]
-    const = adj[:, :, d].copy()
-    lin = adj[:, :, :d].copy()
+        det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
+    else:
+        # alpha_1..d = E^{-T} (x - v_0) with E's rows the edges; alpha_0 = 1 - sum.
+        det = np.linalg.det(E)
+        good = np.abs(det) > PIVOT_RTOL * scale
+        if np.any(good):
+            adj = np.linalg.inv(E[good]) * det[good, None, None]
+            lin[good, 1:] = adj.transpose(0, 2, 1)
+        lin[:, 0] = -lin[:, 1:].sum(axis=1)
+    # alpha_i vanishes at every vertex but v_i: at v_1 for i = 0, else at v_0.
+    const = -np.einsum("mkd,mkd->mk", lin, verts[:, [1] + [0] * d])
     return const, lin, det, scale
+
+
+def _row_absmax(a: np.ndarray) -> np.ndarray:
+    """max |a[i, ...]| per leading index; a column loop beats numpy's short-row reduce."""
+    a = a.reshape(len(a), -1)
+    out = np.abs(a[:, 0])
+    for j in range(1, a.shape[1]):
+        np.maximum(out, np.abs(a[:, j]), out=out)
+    return out
 
 
 def barycentric_coordinates(simplex, x):
@@ -155,12 +161,7 @@ def enlarge_batch(verts: np.ndarray, sigma: float) -> np.ndarray:
     return c + sigma * (verts - c)
 
 
-def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> bool:
-    """True iff x lies within tol.eps of the convex hull of the points.
-
-    Decided by the feasibility program  sum(lam_i * p_i) = x, sum(lam) = 1,
-    lam >= 0, relaxed to minimal sup-norm residual t; membership is t <= eps.
-    """
+def _as_hull_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -168,6 +169,16 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
         raise InputError("hull needs a nonempty (k, d) point array")
     if not np.all(np.isfinite(pts)):
         raise InputError("hull points must be finite")
+    return pts
+
+
+def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> bool:
+    """True iff x lies within tol.eps of the convex hull of the points.
+
+    Decided by the feasibility program  sum(lam_i * p_i) = x, sum(lam) = 1,
+    lam >= 0, relaxed to minimal sup-norm residual t; membership is t <= eps.
+    """
+    pts = _as_hull_points(points)
     x = as_point(x)
     k, d = pts.shape
     if x.size != d:
@@ -191,6 +202,65 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
         # HiGHS only fails here on numerically hopeless input; treat as outside.
         return False
     return res.fun <= tol.eps + 1e-12
+
+
+def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
+    """Boolean mask over the rows of X (q, d): convex_hull_contains for each row."""
+    pts = _as_hull_points(points)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[1] != pts.shape[1] or not np.all(np.isfinite(X)):
+        raise InputError(f"queries must be a finite (q, {pts.shape[1]}) array")
+    return _hulls_contain(pts[None], X, tol.eps)[0]
+
+
+# Relative margin on the screening bounds.  It covers the rounding in the
+# bounds and HiGHS's own feasibility tolerance, so a query the screen rules
+# out is one the LP would reject too.
+_SCREEN_RTOL = 1e-6
+
+
+def _hull_distance_lower_bounds(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Lower bounds (m, q) on the sup-norm distance from X (q, d) to each hull of V (m, k, d).
+
+    Each bound is the larger of the gap to the vertices' bounding box and
+    the gap to their affine span.  For any direction n, every hull point y
+    has |n.(y - v_0)| <= max_i |n.(v_i - v_0)|, and |n.(x - y)| <=
+    |n|_1 |x - y|_inf, so (|n.(x - v_0)| - max_i |n.(v_i - v_0)|) / |n|_1
+    bounds the distance for any n, however rounded.  The right-singular
+    vectors of the edge vectors v_i - v_0 serve as directions; those normal
+    to the span give the gap.
+    """
+    lo, hi = V.min(axis=1), V.max(axis=1)
+    box = np.maximum(lo[:, None] - X, X - hi[:, None]).max(axis=2)
+    E = V[:, 1:] - V[:, :1]
+    # Eigenvectors of the d x d Gram matrix: the right-singular vectors of E,
+    # one direction per column, without E's k x k left factor.
+    N = np.linalg.eigh(E.transpose(0, 2, 1) @ E)[1]
+    reach = np.abs(E @ N).max(axis=1)
+    proj = np.abs((X[None] - V[:, :1]) @ N)
+    span = ((proj - reach[:, None]) / np.abs(N).sum(axis=1)[:, None]).max(axis=2)
+    return np.maximum(box, span)
+
+
+def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
+    """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d)."""
+    inside = np.zeros((len(V), len(X)), dtype=bool)
+    if not len(X):
+        return inside
+    point = np.abs(V - V[:, :1]).max(axis=(1, 2)) <= 1e-12
+    # Point-like set: sup-norm distance test, no LP needed.
+    inside[point] = np.abs(X - V[point, :1]).max(axis=2) <= eps
+    rest = np.flatnonzero(~point)
+    if not len(rest):
+        return inside
+    bound = _hull_distance_lower_bounds(V[rest], X)
+    coord = np.maximum(np.abs(V[rest]).max(axis=(1, 2)), np.abs(X).max())
+    tol = GeomTolerance(eps=eps)
+    for i, j in zip(*np.nonzero(bound <= eps + _SCREEN_RTOL * (1.0 + coord[:, None]))):
+        inside[rest[i], j] = convex_hull_contains(V[rest[i]], X[j], tol)
+    return inside
 
 
 def simplex_contains(simplex, x, tol: GeomTolerance = GeomTolerance()) -> bool:
@@ -267,16 +337,8 @@ class SimplexBatch:
                     ok = (val >= self._thr[ms : ms + m_chunk, None]).all(axis=2)
                     counts[qs : qs + q_chunk] += ok.sum(axis=1)
 
-        if len(self._degenerate_verts):
-            tol = GeomTolerance(eps=self.eps)
-            for dv in self._degenerate_verts:
-                span = np.abs(dv - dv[0]).max()
-                if span <= 1e-12:
-                    # Point-like simplex: sup-norm distance test, no LP needed.
-                    inside = np.abs(X - dv[0]).max(axis=1) <= self.eps
-                    counts += inside.astype(np.int64)
-                else:
-                    for i in range(X.shape[0]):
-                        if convex_hull_contains(dv, X[i], tol):
-                            counts[i] += 1
+        deg_chunk = max(1, self._CHUNK_ELEMS // max(q * self.d, 1))
+        for ms in range(0, self.n_degenerate, deg_chunk):
+            dv = self._degenerate_verts[ms : ms + deg_chunk]
+            counts += _hulls_contain(dv, X, self.eps).sum(axis=0)
         return counts

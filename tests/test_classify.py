@@ -204,6 +204,15 @@ def test_outsider_mask_handles_degenerate_hulls():
     assert mask.tolist() == [False, True]
 
 
+def test_outsider_mask_large_collinear_cloud():
+    """A flat training cloud of many points needs memory linear in its size."""
+    t = np.linspace(0.0, 1.0, 20_000)
+    line = np.column_stack([t, 2.0 * t])
+    far = np.array([[10.0, 0.0], [11.0, 0.0], [10.0, 1.0]])
+    test = np.array([[0.5, 1.0], [0.5, 1.1], [2.0, 4.0], [-1.0, 0.0]])
+    assert outsider_mask(line, far, test).tolist() == [False, True, True, True]
+
+
 def test_outsider_mask_one_dimensional():
     t1 = np.array([[0.0], [1.0]])
     t2 = np.array([[5.0], [6.0]])

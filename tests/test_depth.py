@@ -160,6 +160,21 @@ def test_one_dim_counting_matches_pair_batch(seed):
     assert np.array_equal(ev.contain_counts(X), brute)
 
 
+@pytest.mark.parametrize(
+    "data_shape, budget",
+    [((30, 1), None), ((14, 2), None), ((14, 2), 5000)],
+)
+def test_depths_divide_counts_exactly(data_shape, budget):
+    """Array division gives the same doubles as Python's exact int / int."""
+    rng = np.random.default_rng(7)
+    ev = DepthEvaluator(rng.standard_normal(data_shape), exact_cfg(budget=budget, seed=3))
+    X = rng.standard_normal((40, data_shape[1]))
+    counts = ev.contain_counts(X)
+    assert ev.n_simplices < 2**53
+    want = np.array([c / ev.n_simplices for c in counts.tolist()])
+    assert np.array_equal(ev.depths(X), want)
+
+
 def test_blocks_method_reduces_to_combined_points():
     rng = np.random.default_rng(31)
     data = rng.standard_normal((11, 2))

@@ -1,13 +1,19 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigmadepth import geometry
 from sigmadepth.errors import InputError
 from sigmadepth.geometry import (
     GeomTolerance,
     SimplexBatch,
     barycentric_coordinates,
     convex_hull_contains,
+    convex_hull_contains_many,
+    enlarge_batch,
     enlarge_simplex,
     simplex_contains,
 )
@@ -129,6 +135,105 @@ def test_degenerate_flat_simplex_falls_back_to_hull():
     batch = SimplexBatch(verts)
     assert batch.contains_counts(np.array([[1.5, 1.5]]))[0] == 1
     assert batch.contains_counts(np.array([[1.5, 1.6]]))[0] == 0
+
+
+def _flat_grid_sets(d, seed):
+    """Affinely dependent (d+1)-subsets of grid points with duplicates and collinear runs."""
+    rng = np.random.default_rng(seed)
+    P = rng.integers(0, 3, (6, d))
+    P[1] = P[0]  # a duplicate
+    P[2] = 2 * P[3] - P[4]  # P[2], P[3], P[4] collinear
+    combos = np.array(list(itertools.combinations(range(len(P)), d + 1)))
+    E = P[combos[:, 1:]] - P[combos[:, :1]]
+    flat = np.round(np.linalg.det(E.astype(float))) == 0
+    return P.astype(float), combos[flat]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.25])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
+def test_screened_hull_mask_matches_lp(d, sigma, eps):
+    """The screened helper agrees with the plain LP on degenerate grid sets.
+
+    Queries sit at the vertices, at the midpoints of vertex pairs, and just
+    off the set: within and beyond the slack, and beyond the screening margin.
+    """
+    tol = GeomTolerance(eps=eps)
+    P, combos = _flat_grid_sets(d, seed=d)
+    sets = enlarge_batch(P[combos], sigma)
+    offsets = np.array([1e-3, 1e-6, 2e-9, 5e-10, 0.5 * eps, 0.99 * eps, 1.01 * eps])
+    directions = np.vstack([np.eye(d), np.eye(d)[-1] - np.eye(d)[0]])
+    decided = set()
+    for V in sets[:: max(1, len(sets) // 5)]:
+        mids = np.array([(a + b) / 2 for a, b in itertools.combinations(V, 2)])
+        off = (mids[0] + offsets[:, None, None] * directions).reshape(-1, d)
+        X = np.vstack([V, mids, off])
+        want = [bool(convex_hull_contains(V, x, tol)) for x in X]
+        assert convex_hull_contains_many(V, X, tol).tolist() == want
+        decided.update(want)
+    assert decided == {True, False}
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    lp = geometry.convex_hull_contains
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "convex_hull_contains", counted)
+    return calls
+
+
+def test_far_queries_skip_the_hull_lp(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    batch = SimplexBatch(np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]]))
+    far = np.array([[5.0, -5.0], [10.0, 10.0], [-3.0, 4.0], [1.0, 1.5]])
+    assert batch.contains_counts(far).tolist() == [0, 0, 0, 0]
+    assert len(calls) == 0
+    assert batch.contains_counts(np.array([[1.5, 1.5]])).tolist() == [1]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e5, 1e6, 1e8])
+def test_translated_triangles_stay_nondegenerate(shift):
+    """Maps and singularity bound built from edges: a shift flags no triangle, moves no count."""
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((12, 2))
+    X = rng.standard_normal((6, 2))
+    combos = np.array(list(itertools.combinations(range(12), 3)))
+    batch = SimplexBatch(data[combos] + shift)
+    assert batch.n_degenerate == 0
+    assert batch.contains_counts(X + shift).tolist() == [0, 18, 68, 24, 46, 50]
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("mag", [100.0, 1e4])
+def test_rounded_collinear_triples_are_degenerate(mag, sigma):
+    """Decimal data far from the origin: flat triples are flagged, vertices counted.
+
+    Five points lie on a line only to decimal precision, so the float
+    determinant of a flat triple is rounding noise.  The reference counts
+    run one hull LP per (triangle, query) pair on the copy shifted by -mag,
+    which is exact in floats and keeps the LP away from large coordinates.
+    """
+    grid = [(j, 3 + j) for j in range(5)] + [(3, 1), (0, 9), (6, 2)]
+    text = [(f"{mag + 0.1 * a:.1f}", f"{2 * mag + 0.1 * b:.1f}") for a, b in grid]
+    exact = [tuple(Fraction(c) for c in p) for p in text]
+    P = np.array(text, dtype=float)
+    combos = list(itertools.combinations(range(len(P)), 3))
+
+    def flat(i, j, l):
+        (ax, ay), (bx, by), (cx, cy) = exact[i], exact[j], exact[l]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0
+
+    batch = SimplexBatch(P[combos], sigma=sigma)
+    assert batch.n_degenerate == sum(flat(*c) for c in combos) >= 10
+    shift = np.array([mag, 2 * mag])
+    hulls = enlarge_batch(P[combos] - shift, sigma)
+    want = [sum(convex_hull_contains(v, x) for v in hulls) for x in P - shift]
+    assert batch.contains_counts(P).tolist() == want
 
 
 def test_tolerance_validation():
