@@ -5,9 +5,6 @@ preconditions (e.g. too few points for the requested estimator), 4
 resource cap exceeded.  Every subcommand echoes its fully resolved
 configuration: to `<out>.config.json` when --out is given, to stderr
 otherwise, so any output can be reproduced from the echo alone.
-
-The --threads flag is accepted for interface stability and recorded in
-the echo, but evaluation is sequential; results never depend on it.
 """
 
 from __future__ import annotations
@@ -131,7 +128,6 @@ def _cmd_depth(args) -> int:
             "approx": args.approx,
             "seed": args.seed,
             "tol": args.tol,
-            "threads": args.threads,
             "out": args.out,
         },
     )
@@ -187,7 +183,6 @@ def _cmd_classify(args) -> int:
             "approx": args.approx,
             "seed": args.seed,
             "tol": args.tol,
-            "threads": args.threads,
             "out": args.out,
         },
     )
@@ -225,7 +220,7 @@ def _cmd_simulate(args) -> int:
     prefix = args.out if args.out is not None else f"sim{args.scenario}"
     Path(f"{prefix}.csv").write_text(table.to_csv())
     Path(f"{prefix}.json").write_text(table.to_json())
-    _echo_config(prefix, {"subcommand": "simulate", "threads": args.threads, **cfg.to_dict()})
+    _echo_config(prefix, {"subcommand": "simulate", **cfg.to_dict()})
     return 0
 
 
@@ -268,7 +263,6 @@ def _cmd_symmetry(args) -> int:
             "center": [float(v) for v in center],
             "tol": args.tol,
             "seed": args.seed,
-            "threads": args.threads,
             "out": args.out,
         },
     )
@@ -277,7 +271,6 @@ def _cmd_symmetry(args) -> int:
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (recorded; evaluation is sequential)")
     p.add_argument("--tol", type=float, default=DEFAULT_EPS, help="geometric tolerance eps")
     p.add_argument("--out", default=None, help="output path (depth/classify/symmetry) or prefix (simulate)")
 

@@ -177,6 +177,9 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
     Decided by the feasibility program  sum(lam_i * p_i) = x, sum(lam) = 1,
     lam >= 0, relaxed to minimal sup-norm residual t; membership is t <= eps.
+    The program is solved for the points p_i - x against the origin, so the
+    solver's tolerances act on the spread of the points, not on their
+    distance from the origin.
     """
     pts = _as_hull_points(points)
     x = as_point(x)
@@ -187,14 +190,15 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
     if d == 1:
         return pts.min() - tol.eps <= x[0] <= pts.max() + tol.eps
 
-    # min t  s.t.  -t <= (lam @ pts - x)_j <= t,  sum(lam) = 1,  lam >= 0
+    # min t  s.t.  -t <= (lam @ (pts - x))_j <= t,  sum(lam) = 1,  lam >= 0
+    rel = pts - x
     c = np.zeros(k + 1)
     c[-1] = 1.0
     A_ub = np.zeros((2 * d, k + 1))
-    A_ub[:d, :k] = pts.T
-    A_ub[d:, :k] = -pts.T
+    A_ub[:d, :k] = rel.T
+    A_ub[d:, :k] = -rel.T
     A_ub[:, -1] = -1.0
-    b_ub = np.concatenate([x, -x])
+    b_ub = np.zeros(2 * d)
     A_eq = np.zeros((1, k + 1))
     A_eq[0, :k] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], method="highs")
@@ -280,21 +284,28 @@ class SimplexBatch:
     """Containment counting against a fixed stack of simplices.
 
     Precomputes the det-scaled barycentric affine maps once, then counts
-    containments for many query points by chunked matrix products.  The
-    per-simplex decision is: all d+1 barycentric coordinates >= t(sigma)
-    where t(sigma) = (1-sigma)/(d+1) - eps*sigma, which is exactly closed
-    membership (with slack eps) in the simplex dilated by sigma about its
-    centroid, without touching the vertices.  sigma=1 gives the plain
-    closed-simplex test.  Degenerate members are decided by hull fallback
-    on the dilated vertex set.
+    containments for many query points.  The per-simplex decision is: all
+    d+1 barycentric coordinates >= t(sigma) where t(sigma) = (1-sigma)/(d+1)
+    - eps*sigma, which is exactly closed membership (with slack eps) in the
+    simplex dilated by sigma about its centroid, without touching the
+    vertices.  sigma=1 gives the plain closed-simplex test.  Degenerate
+    members are decided by hull fallback on the dilated vertex set.
+
+    The kernel streams over the d+1 barycentric rows: for a chunk of
+    queries against a chunk of simplices it accumulates one row's values
+    in a (q_chunk, m_chunk) float buffer, compares them with the threshold
+    and ANDs the result into a boolean buffer, then counts the survivors.
+    Every buffer holds at most _CHUNK_ELEMS elements, so memory does not
+    grow with the number of queries, simplices or the dimension.
 
     The t(sigma) threshold is monotone in sigma even in float arithmetic
     (products and sums of monotone terms), so containment indicators never
     flicker across a sigma sweep.
     """
 
-    # Cap on the (queries x simplices) temporary, in elements.
-    _CHUNK_ELEMS = 2**21
+    # Cap on each (queries x simplices) kernel buffer, in elements: 512 KiB
+    # per float buffer, so the kernel's working set stays in a 2 MiB L2 cache.
+    _CHUNK_ELEMS = 2**16
 
     def __init__(self, verts: np.ndarray, eps: float = DEFAULT_EPS, sigma: float = 1.0):
         verts = np.asarray(verts, dtype=float)
@@ -303,13 +314,14 @@ class SimplexBatch:
         self.sigma = float(sigma)
         const, lin, det, scale = bary_affine_parts(verts)
         degenerate = np.abs(det) <= PIVOT_RTOL * scale
-        self._good = ~degenerate
+        good = ~degenerate
         sign = np.where(det < 0, -1.0, 1.0)
         t = (1.0 - self.sigma) / k - self.eps * self.sigma
-        # Build the decision ingredients only for nonsingular members.
-        self._const = const[self._good] * sign[self._good, None]
-        self._lin = lin[self._good] * sign[self._good, None, None]
-        self._thr = t * np.abs(det[self._good])
+        # Decision ingredients for the nonsingular members only, laid out as
+        # const (d+1, m) and lin (d+1, d, m) so each kernel pass reads rows.
+        self._const = np.ascontiguousarray((const[good] * sign[good, None]).T)
+        self._lin = np.ascontiguousarray((lin[good] * sign[good, None, None]).transpose(1, 2, 0))
+        self._thr = t * np.abs(det[good])
         self._degenerate_verts = enlarge_batch(verts[degenerate], self.sigma)
 
     @property
@@ -324,21 +336,49 @@ class SimplexBatch:
         q = X.shape[0]
         counts = np.zeros(q, dtype=np.int64)
 
-        mg = len(self._const)
+        mg = len(self._thr)
         if mg:
-            q_chunk = max(1, self._CHUNK_ELEMS // max(mg, 1))
-            m_chunk = self._CHUNK_ELEMS
-            for qs in range(0, q, q_chunk):
-                Xc = X[qs : qs + q_chunk]
-                for ms in range(0, mg, m_chunk):
-                    lin = self._lin[ms : ms + m_chunk]
-                    val = np.einsum("mkd,qd->qmk", lin, Xc)
-                    val += self._const[ms : ms + m_chunk]
-                    ok = (val >= self._thr[ms : ms + m_chunk, None]).all(axis=2)
-                    counts[qs : qs + q_chunk] += ok.sum(axis=1)
+            m_chunk = min(mg, self._CHUNK_ELEMS)
+            q_chunk = max(1, self._CHUNK_ELEMS // m_chunk)
+            shape = (min(q, q_chunk), m_chunk)
+            bufs = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool) for _ in range(2)]
+            for ms in range(0, mg, m_chunk):
+                lin = self._lin[:, :, ms : ms + m_chunk]
+                const = self._const[:, ms : ms + m_chunk]
+                thr = self._thr[ms : ms + m_chunk]
+                for qs in range(0, q, q_chunk):
+                    Xc = X[qs : qs + q_chunk, :, None]
+                    val, odd, term, hit, ok = (b[: len(Xc), : len(thr)] for b in bufs)
+                    for i in range(self.d + 1):
+                        _dot_into(Xc, lin[i], val, odd, term)
+                        val += const[i]
+                        np.greater_equal(val, thr, out=hit if i else ok)
+                        if i:
+                            ok &= hit
+                    counts[qs : qs + q_chunk] += np.count_nonzero(ok, axis=1)
 
         deg_chunk = max(1, self._CHUNK_ELEMS // max(q * self.d, 1))
         for ms in range(0, self.n_degenerate, deg_chunk):
             dv = self._degenerate_verts[ms : ms + deg_chunk]
             counts += _hulls_contain(dv, X, self.eps).sum(axis=0)
         return counts
+
+
+def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tmp: np.ndarray) -> None:
+    """out = sum_j X[:, j] * L[j] for X (q, d, 1) and L (d, m), with no temporaries.
+
+    The terms are summed in the order in which numpy's einsum sums a short
+    contraction in two SIMD lanes (even j, odd j, then the two partial
+    sums), so for d <= 7 the values are bit-identical to the former
+    einsum("mkd,qd->qmk") kernel on such builds (numpy 2.4 on x86-64).
+    odd and tmp are scratch buffers shaped like out; tmp is used for d > 2.
+    """
+    d = len(L)
+    np.multiply(X[:, 0], L[0], out=out)
+    for j in range(2, d, 2):
+        out += np.multiply(X[:, j], L[j], out=tmp)
+    if d > 1:
+        np.multiply(X[:, 1], L[1], out=odd)
+        for j in range(3, d, 2):
+            odd += np.multiply(X[:, j], L[j], out=tmp)
+        out += odd

@@ -236,6 +236,71 @@ def test_rounded_collinear_triples_are_degenerate(mag, sigma):
     assert batch.contains_counts(P).tolist() == want
 
 
+def test_hull_lp_accepts_own_vertex_far_from_origin():
+    """The LP runs on the points relative to the query, so magnitude does not matter."""
+    V = np.array([[9999.7, 10000.3], [10000.3, 9999.8], [10000.2, 10000.2]])
+    assert convex_hull_contains(V, V[2])
+    assert convex_hull_contains(V - 1e4, V[2] - 1e4)
+
+
+def test_hull_lp_vertex_sweep_at_magnitude_1e4():
+    """Every vertex of every triangle of decimal clouds at 1e4 is inside its hull."""
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        P = np.round(1e4 + rng.standard_normal((8, 2)), 1)
+        for tri in itertools.combinations(range(len(P)), 3):
+            V = P[list(tri)]
+            assert all(convex_hull_contains(V, v) for v in V)
+
+
+def _einsum_counts(batch, X):
+    """Counts by the former (q, m, d+1) einsum kernel on the batch's own maps."""
+    lin = np.ascontiguousarray(batch._lin.transpose(2, 0, 1))
+    val = np.einsum("mkd,qd->qmk", lin, X)
+    val += np.ascontiguousarray(batch._const.T)
+    counts = (val >= batch._thr[:, None]).all(axis=2).sum(axis=1)
+    return counts + geometry._hulls_contain(batch._degenerate_verts, X, batch.eps).sum(axis=0)
+
+
+def _parity_data(kind, d, rng):
+    n = {1: 30, 2: 14, 3: 9, 4: 8}[d]
+    if kind == "grid":
+        return rng.integers(0, 8, (n, d)).astype(float)
+    if kind == "decimal":
+        return np.round(1e4 + 0.05 * rng.standard_normal((n, d)), 2)
+    return rng.standard_normal((n, d))
+
+
+def _parity_cases(kind, d):
+    rng = np.random.default_rng([d, len(kind)])
+    P = _parity_data(kind, d, rng)
+    combos = np.array(list(itertools.combinations(range(len(P)), d + 1)))
+    far = P[:3] + 10.0 * (P.max(axis=0) - P.min(axis=0) + 1.0)
+    X = np.vstack([far, (P[:-1] + P[1:]) / 2, P])
+    for sigma in (1.0, 1.5, 3.0):
+        yield P[combos], X, sigma
+
+
+@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("kind", ["grid", "decimal", "gaussian"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_streaming_kernel_matches_einsum(d, kind, cap, monkeypatch):
+    """The streaming kernel gives byte-equal counts to the einsum formulation.
+
+    With the small cap the batches below take one query per chunk, a
+    ragged last query chunk, and several chunks over the simplices.
+    """
+    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    hit = np.zeros(3, dtype=bool)  # one query per chunk, ragged query chunk, m > cap
+    for verts, X, sigma in _parity_cases(kind, d):
+        for m in (len(verts), 13, 7, 5):
+            q_chunk = cap // min(m, cap)
+            hit |= [q_chunk == 1, len(X) % q_chunk > 0, m > cap]
+            batch = SimplexBatch(verts[-m:], sigma=sigma)
+            assert batch.contains_counts(X).tolist() == _einsum_counts(batch, X).tolist()
+    assert cap > 24 or hit.all()
+
+
 def test_tolerance_validation():
     with pytest.raises(InputError):
         GeomTolerance(eps=-1e-9)
