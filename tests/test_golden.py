@@ -1,0 +1,133 @@
+"""Golden corpus: simulation tables and `sigmadepth classify` outputs, byte for byte.
+
+Each case's expected text is committed under tests/golden/.  The cases cover
+all four scenarios, the three classifiers, exact and Monte-Carlo depth, the
+elliptical sampler, both bands, the scenario-3 unfiltered baseline and an
+empty scenario-3 test set.  A change that deliberately moves a random stream
+or the arithmetic of a path changes these files: regenerate them with
+`PYTHONPATH=src python tests/test_golden.py` and record the change in
+CHANGES.md.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from sigmadepth.cli import main
+from sigmadepth.sim import default_config, run_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SMALL = dict(n_train=30, n_test=40, reps=2)
+SCENARIOS = {
+    "sim1_dd_linear": dict(scenario=1, **SMALL, sigma_grid=(1.0, 2.0), budget=2000),
+    "sim1_maxdepth_elliptical": dict(
+        scenario=1,
+        setting="elliptical_location",
+        classifier="maxdepth",
+        **SMALL,
+        sigma_grid=(1.0, 3.0),
+        budget=2000,
+    ),
+    "sim1_dd_poly": dict(
+        scenario=1, classifier="dd-poly", degree=2, **SMALL, sigma_grid=(1.0, 2.0), budget=1000
+    ),
+    "sim2_symmetric_exact": dict(
+        scenario=2,
+        n_train=20,
+        n_test=30,
+        reps=2,
+        sigma_grid=(1.0, 2.0),
+        delta_grid=(1.0, 2.5),
+        budget=None,
+    ),
+    "sim2_asymmetric": dict(
+        scenario=2,
+        setting="asymmetric",
+        **SMALL,
+        sigma_grid=(1.0, 3.0),
+        delta_grid=(0.5, 2.0),
+        budget=1000,
+    ),
+    "sim3_baseline": dict(
+        scenario=3,
+        n_train=40,
+        reps=2,
+        sigma_grid=(1.0, 3.0),
+        delta_grid=(0.5, 1.0),
+        include_unfiltered_baseline=True,
+        test_per_class=15,
+        budget=1000,
+    ),
+    "sim3_empty_test": dict(
+        scenario=3,
+        setting="asymmetric",
+        n_train=40,
+        reps=2,
+        sigma_grid=(1.0, 2.0),
+        delta_grid=(1.0,),
+        include_unfiltered_baseline=True,
+        test_per_class=0,
+        budget=1000,
+    ),
+    "sim4_maxdepth": dict(scenario=4, **SMALL, sigma_grid=(1.0, 2.0, 3.0)),
+    "sim4_dd_linear": dict(scenario=4, classifier="dd-linear", **SMALL, sigma_grid=(1.0, 3.0)),
+}
+
+CLASSIFIERS = ("maxdepth", "dd-linear", "dd-poly")
+CLASSIFY_INPUTS = ("classify_train1.csv", "classify_train2.csv", "classify_test.csv")
+
+
+def scenario_json(name: str) -> str:
+    cfg = dict(SCENARIOS[name])
+    return run_scenario(default_config(cfg.pop("scenario"), **cfg)).to_json()
+
+
+def classify_outputs(classifier: str, workdir: Path) -> dict:
+    """Run `sigmadepth classify` in workdir on the committed inputs.
+
+    Paths are relative, so the `.config.json` sidecar does not depend on
+    where the corpus is checked out.  Returns {file name: text}.
+    """
+    for name in CLASSIFY_INPUTS:
+        shutil.copy(GOLDEN / name, workdir / name)
+    out = f"classify_{classifier}.csv"
+    argv = [
+        "classify",
+        "--train1", CLASSIFY_INPUTS[0],
+        "--train2", CLASSIFY_INPUTS[1],
+        "--test", CLASSIFY_INPUTS[2],
+        "--classifier", classifier,
+        "--method", "simplex-enlarged",
+        "--sigma", "1.5",
+        "--seed", "7",
+        "--out", out,
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        assert main(argv) == 0
+    config = f"{out}.config.json"
+    return {name: (workdir / name).read_text() for name in (out, config)}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_table_matches_golden(name):
+    assert scenario_json(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_classify_output_matches_golden(classifier, tmp_path):
+    for name, text in classify_outputs(classifier, tmp_path).items():
+        assert text == (GOLDEN / name).read_text(), name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name in SCENARIOS:
+        (GOLDEN / f"{name}.json").write_text(scenario_json(name))
+    for classifier in CLASSIFIERS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in classify_outputs(classifier, Path(tmp)).items():
+                (GOLDEN / name).write_text(text)
