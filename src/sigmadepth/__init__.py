@@ -25,9 +25,6 @@ from .depth import (
     DepthValue,
     METHODS,
     compute_depth,
-    depth_dist_enlarged_blocks,
-    depth_dist_enlarged_full,
-    depth_simplex_enlarged,
     depth_maximizer,
     trimmed_region_grid,
 )
@@ -38,12 +35,6 @@ from .geometry import (
     convex_hull_contains,
     enlarge_simplex,
     simplex_contains,
-)
-from .oracle import (
-    OracleReport,
-    analytic_depth_1d_uniform,
-    naive_full_depth,
-    two_interval_depth_quadrature,
 )
 from .sigma import (
     DiscreteDistribution,
@@ -89,13 +80,11 @@ __all__ = [
     "InputError",
     "InsufficientDataError",
     "METHODS",
-    "OracleReport",
     "ResourceCapError",
     "ResultTable",
     "ScenarioConfig",
     "SymmetryVerdict",
     "affine_image",
-    "analytic_depth_1d_uniform",
     "band_filter",
     "barycentric_coordinates",
     "check_angular_symmetry",
@@ -105,10 +94,7 @@ __all__ = [
     "convex_hull_contains",
     "corpus_distribution",
     "default_config",
-    "depth_dist_enlarged_blocks",
-    "depth_dist_enlarged_full",
     "depth_maximizer",
-    "depth_simplex_enlarged",
     "discrete_convolution",
     "discrete_sigma_transform",
     "enlarge_simplex",
@@ -117,7 +103,6 @@ __all__ = [
     "halfspace_center_box",
     "max_depth_classify",
     "misclassification_rate",
-    "naive_full_depth",
     "outsider_mask",
     "full_scale_config",
     "point_mass",
@@ -132,6 +117,5 @@ __all__ = [
     "simplex_contains",
     "smallest_covering_sigma",
     "trimmed_region_grid",
-    "two_interval_depth_quadrature",
     "uniform_on",
 ]

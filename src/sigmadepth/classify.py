@@ -30,11 +30,13 @@ __all__ = [
     "fit_dd",
     "predict_dd",
     "predict_dd_points",
+    "classify_points",
     "outsider_mask",
     "misclassification_rate",
 ]
 
 MAX_DEGREE = 10
+CLASSIFIERS = ("maxdepth", "dd-linear", "dd-poly")
 
 
 def stable_hash(values) -> int:
@@ -274,6 +276,47 @@ def predict_dd_points(model: DDModel, d1, d2, X):
     for i in np.flatnonzero(d2 == cut):
         pred[i] = _tie_coin(model.tie_seed, X[i])
     return pred
+
+
+def classify_points(
+    ev1: DepthEvaluator,
+    ev2: DepthEvaluator,
+    train1,
+    train2,
+    test,
+    classifier: str,
+    degree: int,
+    restarts: int,
+    seed,
+    tie_seed,
+):
+    """Predicted class (1 or 2) of each test point from two class evaluators.
+
+    'maxdepth' applies the max-depth rule.  The DD-plot rules fit
+    'class 2 iff d2 > poly(d1)' on the training depths, with degree 1 for
+    'dd-linear' and `degree` for 'dd-poly'; `seed` seeds the fit's random
+    restarts and is unused by 'maxdepth'.  Exact ties flip coins keyed on
+    tie_seed.
+    """
+    if classifier not in CLASSIFIERS:
+        raise InputError(f"classifier must be one of {CLASSIFIERS}")
+    if classifier == "maxdepth":
+        return max_depth_classify_batch(ev1, ev2, test, tie_seed=tie_seed)
+    both = np.vstack([train1, train2])
+    labels = np.r_[
+        np.ones(len(train1), dtype=np.int64), np.full(len(train2), 2, dtype=np.int64)
+    ]
+    model = fit_dd(
+        ev1.depths(both),
+        ev2.depths(both),
+        labels,
+        degree=1 if classifier == "dd-linear" else degree,
+        restarts=restarts,
+        seed=seed,
+        depth_cfg=ev1.cfg,
+        tie_seed=tie_seed,
+    )
+    return predict_dd_points(model, ev1.depths(test), ev2.depths(test), test)
 
 
 def _hull_contains_mask(train, X, tol: GeomTolerance):

@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (
-    fit_dd,
-    max_depth_classify_batch,
-    outsider_mask,
-    predict_dd_points,
-)
+from .classify import CLASSIFIERS, classify_points, outsider_mask
 from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import DEFAULT_EPS, GeomTolerance
@@ -141,26 +136,18 @@ def _cmd_classify(args) -> int:
     cfg = _depth_config(args)
     ev1 = DepthEvaluator(train1, cfg)
     ev2 = DepthEvaluator(train2, cfg)
-    if args.classifier == "maxdepth":
-        pred = max_depth_classify_batch(ev1, ev2, test, tie_seed=args.seed)
-    else:
-        both = np.vstack([train1, train2])
-        labels = np.r_[
-            np.ones(len(train1), dtype=np.int64),
-            np.full(len(train2), 2, dtype=np.int64),
-        ]
-        degree = 1 if args.classifier == "dd-linear" else args.degree
-        model = fit_dd(
-            ev1.depths(both),
-            ev2.depths(both),
-            labels,
-            degree=degree,
-            restarts=args.restarts,
-            seed=args.seed,
-            depth_cfg=cfg,
-            tie_seed=args.seed,
-        )
-        pred = predict_dd_points(model, ev1.depths(test), ev2.depths(test), test)
+    pred = classify_points(
+        ev1,
+        ev2,
+        train1,
+        train2,
+        test,
+        args.classifier,
+        degree=args.degree,
+        restarts=args.restarts,
+        seed=args.seed,
+        tie_seed=args.seed,
+    )
     outs = outsider_mask(train1, train2, test, GeomTolerance(eps=args.tol))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -299,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train1", required=True)
     p.add_argument("--train2", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--classifier", default="maxdepth", choices=("maxdepth", "dd-linear", "dd-poly"))
+    p.add_argument("--classifier", default="maxdepth", choices=CLASSIFIERS)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--restarts", type=int, default=8)
     _add_depth_flags(p)
@@ -315,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--sigma-grid", default=None, help="comma separated, e.g. 1,1.5,2")
     p.add_argument("--delta", default=None, help="comma separated band/shift values")
-    p.add_argument("--classifier", default=None, choices=("maxdepth", "dd-linear", "dd-poly"))
+    p.add_argument("--classifier", default=None, choices=CLASSIFIERS)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--budget", type=int, default=None, help="depth MC budget; <=0 means exact")
     p.add_argument(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -292,7 +292,9 @@ class DepthEvaluator:
                 self._batch = self._build_mc_batch()
         elif self._strategy == "enum" and total <= _PRECOMP_MAX:
             self._batch = SimplexBatch(
-                self._materialize_all(), eps=cfg.tol.eps, sigma=self._ksig
+                np.concatenate(list(self._iter_enum_verts())),
+                eps=cfg.tol.eps,
+                sigma=self._ksig,
             )
 
     # -- vertex materialization ------------------------------------------
@@ -315,17 +317,15 @@ class DepthEvaluator:
         group_sums = pts[:, p:, :].reshape(len(idx), p, p - 1, self.d).sum(axis=2)
         return _combine_vertices(lead_pts, group_sums, self.cfg.sigma, p)
 
-    def _materialize_all(self) -> np.ndarray:
-        chunks = []
+    def _iter_enum_verts(self):
+        """Vertices of every enumerated simplex, in chunks, in lex order."""
         if self.cfg.method == "dist_enlarged_full":
-            p = self._p
-            sub_chunk = max(1, _STREAM_CHUNK // full_pattern_count(p))
-            for subs in _iter_combo_chunks(self.n, p * p, sub_chunk):
-                chunks.append(self._full_verts_from_subsets(subs))
+            sub_chunk = max(1, _STREAM_CHUNK // full_pattern_count(self._p))
+            for subs in _iter_combo_chunks(self.n, self._tuple_len, sub_chunk):
+                yield self._full_verts_from_subsets(subs)
         else:
             for combos in _iter_combo_chunks(self._nb, self._tuple_len, _STREAM_CHUNK):
-                chunks.append(self._base[combos])
-        return np.concatenate(chunks)
+                yield self._base[combos]
 
     def _build_mc_batch(self) -> SimplexBatch:
         verts = np.concatenate(list(self._iter_mc_verts()))
@@ -360,25 +360,11 @@ class DepthEvaluator:
             return self._batch.contains_counts(X)
 
         counts = np.zeros(len(X), dtype=np.int64)
-        if self._strategy == "mc":
-            for verts in self._iter_mc_verts():
-                counts += SimplexBatch(
-                    verts, eps=self.cfg.tol.eps, sigma=self._ksig
-                ).contains_counts(X)
-            return counts
-        if self.cfg.method == "dist_enlarged_full":
-            p = self._p
-            sub_chunk = max(1, _STREAM_CHUNK // full_pattern_count(p))
-            for subs in _iter_combo_chunks(self.n, p * p, sub_chunk):
-                verts = self._full_verts_from_subsets(subs)
-                counts += SimplexBatch(
-                    verts, eps=self.cfg.tol.eps, sigma=self._ksig
-                ).contains_counts(X)
-        else:
-            for combos in _iter_combo_chunks(self._nb, self._tuple_len, _STREAM_CHUNK):
-                counts += SimplexBatch(
-                    self._base[combos], eps=self.cfg.tol.eps, sigma=self._ksig
-                ).contains_counts(X)
+        chunks = self._iter_mc_verts() if self._strategy == "mc" else self._iter_enum_verts()
+        for verts in chunks:
+            counts += SimplexBatch(
+                verts, eps=self.cfg.tol.eps, sigma=self._ksig
+            ).contains_counts(X)
         return counts
 
     def depths(self, X) -> np.ndarray:
@@ -395,21 +381,6 @@ class DepthEvaluator:
 def compute_depth(data, x, cfg: DepthConfig) -> DepthValue:
     """Depth of a single point under cfg.method."""
     return DepthEvaluator(data, cfg).depth_value(x)
-
-
-def depth_simplex_enlarged(data, x, cfg: DepthConfig) -> DepthValue:
-    """Fraction of sigma-dilated data simplices containing x (Monte Carlo if budgeted)."""
-    return compute_depth(data, x, replace(cfg, method="simplex_enlarged"))
-
-
-def depth_dist_enlarged_blocks(data, x, cfg: DepthConfig) -> DepthValue:
-    """Simplicial depth over the blockwise sigma-combined points."""
-    return compute_depth(data, x, replace(cfg, method="dist_enlarged_blocks"))
-
-
-def depth_dist_enlarged_full(data, x, cfg: DepthConfig) -> DepthValue:
-    """Full U-statistic depth over (d+1)^2-point index tuples."""
-    return compute_depth(data, x, replace(cfg, method="dist_enlarged_full"))
 
 
 def depth_maximizer(data, cfg: DepthConfig) -> np.ndarray:

@@ -16,9 +16,11 @@ Scenario sketch (all rates are misclassification rates):
 4. Four adjacent unit intervals on the line: train on the outer two,
    classify the inner two, sweeping the enlargement factor sigma.
 
-Every replication derives its generator from (master_seed, scenario, rep
-index, sweep index), so tables are bit-identical across reruns and do not
-depend on evaluation order.
+`run_scenario` is the one simulation loop.  Only the data differ between
+scenarios: one data function per scenario draws both training sets and the
+labelled test set.  Every replication derives its generator from
+(master_seed, scenario, rep index, sweep index), so tables are bit-identical
+across reruns and do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 from .classify import (
-    fit_dd,
-    max_depth_classify_batch,
+    CLASSIFIERS,
+    classify_points,
     misclassification_rate,
     outsider_mask,
-    predict_dd_points,
 )
 from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError
@@ -58,7 +59,6 @@ __all__ = [
     "smallest_covering_sigma",
 ]
 
-CLASSIFIERS = ("maxdepth", "dd-linear", "dd-poly")
 SIM1_SETTINGS = (
     "normal_location",
     "normal_scale",
@@ -108,6 +108,9 @@ class ScenarioConfig:
             raise InputError(f"classifier must be one of {CLASSIFIERS}")
         if self.master_seed < 0:
             raise InputError("master_seed must be nonnegative")
+        # scenario 3 sizes its test set by test_per_class instead
+        if self.scenario != 3 and self.n_test < 1:
+            raise InputError("n_test must be >= 1")
         if self.scenario == 1 and self.setting not in SIM1_SETTINGS:
             raise InputError(f"scenario 1 setting must be one of {SIM1_SETTINGS}")
         if self.scenario in (2, 3):
@@ -166,10 +169,17 @@ class ResultRow:
 
     @property
     def median(self) -> float:
-        return float(np.nanmedian(self.rates))
+        return _nan_stat(np.nanmedian, self.rates)
 
     def quantile(self, q: float) -> float:
-        return float(np.nanpercentile(self.rates, 100.0 * q))
+        return _nan_stat(np.nanpercentile, self.rates, 100.0 * q)
+
+
+def _nan_stat(fn, arr: np.ndarray, *args) -> float:
+    # numpy warns on an all-NaN slice, which every empty-test row is
+    if np.isnan(arr).all():
+        return float("nan")
+    return float(fn(arr, *args))
 
 
 def _agg(arr: np.ndarray):
@@ -402,7 +412,7 @@ def band_filter(points, band: str, delta: float):
     return pts[inside], pts[~inside]
 
 
-def _rep_rng(cfg: ScenarioConfig, rep: int, sweep: int = 0):
+def _rep_rng(cfg: ScenarioConfig, rep: int, sweep: int):
     return np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, cfg.scenario, rep, sweep])
     )
@@ -418,30 +428,6 @@ def _depth_cfg(cfg: ScenarioConfig, sigma: float, rng) -> DepthConfig:
     )
 
 
-def _predict(cfg: ScenarioConfig, ev1, ev2, train1, train2, test, rng):
-    tie_seed = int(rng.integers(2**31))
-    if cfg.classifier == "maxdepth":
-        return max_depth_classify_batch(ev1, ev2, test, tie_seed=tie_seed)
-    both = np.vstack([train1, train2])
-    labels = np.r_[
-        np.ones(len(train1), dtype=np.int64), np.full(len(train2), 2, dtype=np.int64)
-    ]
-    d1 = ev1.depths(both)
-    d2 = ev2.depths(both)
-    degree = 1 if cfg.classifier == "dd-linear" else cfg.degree
-    model = fit_dd(
-        d1,
-        d2,
-        labels,
-        degree=degree,
-        restarts=8,
-        seed=int(rng.integers(2**31)),
-        depth_cfg=ev1.cfg,
-        tie_seed=tie_seed,
-    )
-    return predict_dd_points(model, ev1.depths(test), ev2.depths(test), test)
-
-
 def _rates(pred, truth, omask):
     rate = misclassification_rate(pred, truth)
     orate = (
@@ -452,7 +438,15 @@ def _rates(pred, truth, omask):
     return rate, orate
 
 
-def _sim1_data(cfg: ScenarioConfig, rng):
+def _truth(n1: int, n2: int) -> np.ndarray:
+    return np.r_[np.ones(n1, dtype=np.int64), np.full(n2, 2, dtype=np.int64)]
+
+
+# Data functions: (cfg, rng, delta) -> (train1, train2, test, truth), where
+# delta is the sweep value of scenarios 2 and 3 and None otherwise.
+
+
+def _sim1_data(cfg: ScenarioConfig, rng, delta):
     family, _, variant = cfg.setting.partition("_")
     shift_size = NORMAL_SHIFT if family == "normal" else ELLIPTICAL_SHIFT
     shift = shift_size if "location" in variant else 0.0
@@ -471,62 +465,21 @@ def _sim1_data(cfg: ScenarioConfig, rng):
     train1 = draw(cfg.n_train)
     train2 = draw(cfg.n_train) * factor + shift
     test = np.vstack([draw(half), draw(cfg.n_test - half) * factor + shift])
-    truth = np.r_[
-        np.ones(half, dtype=np.int64), np.full(cfg.n_test - half, 2, dtype=np.int64)
-    ]
-    return train1, train2, test, truth
+    return train1, train2, test, _truth(half, cfg.n_test - half)
 
 
-def _run_sim1(cfg: ScenarioConfig):
-    per_sigma = {s: ([], []) for s in cfg.sigma_grid}
-    for rep in range(cfg.reps):
-        rng = _rep_rng(cfg, rep)
-        train1, train2, test, truth = _sim1_data(cfg, rng)
-        omask = outsider_mask(train1, train2, test)
-        for sigma in cfg.sigma_grid:
-            ev1 = DepthEvaluator(train1, _depth_cfg(cfg, sigma, rng))
-            ev2 = DepthEvaluator(train2, _depth_cfg(cfg, sigma, rng))
-            pred = _predict(cfg, ev1, ev2, train1, train2, test, rng)
-            rate, orate = _rates(pred, truth, omask)
-            per_sigma[sigma][0].append(rate)
-            per_sigma[sigma][1].append(orate)
-    return [
-        ResultRow(1, cfg.setting, s, np.array(r), np.array(o))
-        for s, (r, o) in per_sigma.items()
-    ]
-
-
-def _run_sim2(cfg: ScenarioConfig):
+def _sim2_data(cfg: ScenarioConfig, rng, delta):
     half = cfg.n_test // 2
-    acc = {(s, d): ([], []) for s in cfg.sigma_grid for d in cfg.delta_grid}
-    for rep in range(cfg.reps):
-        for di, delta in enumerate(cfg.delta_grid):
-            rng = _rep_rng(cfg, rep, di)
-            train1 = rng.standard_normal((cfg.n_train, 2)) + [-4.0, 0.0]
-            train2 = rng.standard_normal((cfg.n_train, 2)) + [4.0, 0.0]
-            mu3 = delta if cfg.setting == "symmetric" else 2.0
-            test = np.vstack(
-                [
-                    rng.standard_normal((half, 2)) + [-delta, 0.0],
-                    rng.standard_normal((cfg.n_test - half, 2)) + [mu3, 0.0],
-                ]
-            )
-            truth = np.r_[
-                np.ones(half, dtype=np.int64),
-                np.full(cfg.n_test - half, 2, dtype=np.int64),
-            ]
-            omask = outsider_mask(train1, train2, test)
-            for sigma in cfg.sigma_grid:
-                ev1 = DepthEvaluator(train1, _depth_cfg(cfg, sigma, rng))
-                ev2 = DepthEvaluator(train2, _depth_cfg(cfg, sigma, rng))
-                pred = _predict(cfg, ev1, ev2, train1, train2, test, rng)
-                rate, orate = _rates(pred, truth, omask)
-                acc[(sigma, delta)][0].append(rate)
-                acc[(sigma, delta)][1].append(orate)
-    return [
-        ResultRow(2, f"{cfg.setting}|sigma={s:g}", d, np.array(r), np.array(o))
-        for (s, d), (r, o) in acc.items()
-    ]
+    train1 = rng.standard_normal((cfg.n_train, 2)) + [-4.0, 0.0]
+    train2 = rng.standard_normal((cfg.n_train, 2)) + [4.0, 0.0]
+    mu3 = delta if cfg.setting == "symmetric" else 2.0
+    test = np.vstack(
+        [
+            rng.standard_normal((half, 2)) + [-delta, 0.0],
+            rng.standard_normal((cfg.n_test - half, 2)) + [mu3, 0.0],
+        ]
+    )
+    return train1, train2, test, _truth(half, cfg.n_test - half)
 
 
 def _accumulate_inside(rng, mean, band, delta, target, cap):
@@ -544,92 +497,96 @@ def _accumulate_inside(rng, mean, band, delta, target, cap):
     return pts[:target]
 
 
-def _run_sim3(cfg: ScenarioConfig):
-    keys = list(cfg.sigma_grid)
-    if cfg.include_unfiltered_baseline:
-        keys.append("baseline")
-    acc = {(k, d): ([], []) for k in keys for d in cfg.delta_grid}
-    for rep in range(cfg.reps):
-        for di, delta in enumerate(cfg.delta_grid):
-            rng = _rep_rng(cfg, rep, di)
-            raw1 = rng.standard_normal((cfg.n_train, 2)) + [-2.0, 0.0]
-            raw2 = rng.standard_normal((cfg.n_train, 2)) + [2.0, 0.0]
-            _, train1 = band_filter(raw1, cfg.setting, delta)
-            _, train2 = band_filter(raw2, cfg.setting, delta)
-            test1 = _accumulate_inside(
-                rng, [-2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
-            )
-            test2 = _accumulate_inside(
-                rng, [2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
-            )
-            test = np.vstack([test1, test2])
-            truth = np.r_[
-                np.ones(len(test1), dtype=np.int64),
-                np.full(len(test2), 2, dtype=np.int64),
-            ]
-            if len(test) == 0:
-                for k in keys:
-                    acc[(k, delta)][0].append(float("nan"))
-                    acc[(k, delta)][1].append(float("nan"))
-                continue
-            omask = outsider_mask(train1, train2, test)
-            for sigma in cfg.sigma_grid:
-                ev1 = DepthEvaluator(train1, _depth_cfg(cfg, sigma, rng))
-                ev2 = DepthEvaluator(train2, _depth_cfg(cfg, sigma, rng))
-                pred = _predict(cfg, ev1, ev2, train1, train2, test, rng)
-                rate, orate = _rates(pred, truth, omask)
-                acc[(sigma, delta)][0].append(rate)
-                acc[(sigma, delta)][1].append(orate)
-            if cfg.include_unfiltered_baseline:
-                ev1 = DepthEvaluator(raw1, _depth_cfg(cfg, 1.0, rng))
-                ev2 = DepthEvaluator(raw2, _depth_cfg(cfg, 1.0, rng))
-                pred = _predict(cfg, ev1, ev2, raw1, raw2, test, rng)
-                rate, orate = _rates(pred, truth, outsider_mask(raw1, raw2, test))
-                acc[("baseline", delta)][0].append(rate)
-                acc[("baseline", delta)][1].append(orate)
-    rows = []
-    for (k, d), (r, o) in acc.items():
-        label = "baseline-full-training" if k == "baseline" else f"sigma={k:g}"
-        rows.append(
-            ResultRow(3, f"{cfg.setting}|{label}", d, np.array(r), np.array(o))
-        )
-    return rows
+def _sim3_data(cfg: ScenarioConfig, rng, delta):
+    """Unfiltered training draws; run_scenario drops the ones inside the band."""
+    raw1 = rng.standard_normal((cfg.n_train, 2)) + [-2.0, 0.0]
+    raw2 = rng.standard_normal((cfg.n_train, 2)) + [2.0, 0.0]
+    test1 = _accumulate_inside(
+        rng, [-2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
+    )
+    test2 = _accumulate_inside(
+        rng, [2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
+    )
+    return raw1, raw2, np.vstack([test1, test2]), _truth(len(test1), len(test2))
 
 
-def _run_sim4(cfg: ScenarioConfig):
+def _sim4_data(cfg: ScenarioConfig, rng, delta):
     half = cfg.n_test // 2
-    per_sigma = {s: ([], []) for s in cfg.sigma_grid}
-    for rep in range(cfg.reps):
-        rng = _rep_rng(cfg, rep)
-        train1 = rng.uniform(-2.0, -1.0, (cfg.n_train, 1))
-        train2 = rng.uniform(1.0, 2.0, (cfg.n_train, 1))
-        test = np.vstack(
-            [
-                rng.uniform(-1.0, 0.0, (half, 1)),
-                rng.uniform(0.0, 1.0, (cfg.n_test - half, 1)),
-            ]
-        )
-        truth = np.r_[
-            np.ones(half, dtype=np.int64), np.full(cfg.n_test - half, 2, dtype=np.int64)
+    train1 = rng.uniform(-2.0, -1.0, (cfg.n_train, 1))
+    train2 = rng.uniform(1.0, 2.0, (cfg.n_train, 1))
+    test = np.vstack(
+        [
+            rng.uniform(-1.0, 0.0, (half, 1)),
+            rng.uniform(0.0, 1.0, (cfg.n_test - half, 1)),
         ]
-        omask = outsider_mask(train1, train2, test)
-        for sigma in cfg.sigma_grid:
-            ev1 = DepthEvaluator(train1, _depth_cfg(cfg, sigma, rng))
-            ev2 = DepthEvaluator(train2, _depth_cfg(cfg, sigma, rng))
-            pred = _predict(cfg, ev1, ev2, train1, train2, test, rng)
-            rate, orate = _rates(pred, truth, omask)
-            per_sigma[sigma][0].append(rate)
-            per_sigma[sigma][1].append(orate)
-    return [
-        ResultRow(4, cfg.setting or "uniform_quartet", s, np.array(r), np.array(o))
-        for s, (r, o) in per_sigma.items()
-    ]
+    )
+    return train1, train2, test, _truth(half, cfg.n_test - half)
+
+
+_DATA = {1: _sim1_data, 2: _sim2_data, 3: _sim3_data, 4: _sim4_data}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResultTable:
-    """Run one configured experiment and return its aggregated table."""
-    runner = {1: _run_sim1, 2: _run_sim2, 3: _run_sim3, 4: _run_sim4}[cfg.scenario]
-    return ResultTable(runner(cfg))
+    """Run one configured experiment and return its aggregated table.
+
+    For each rep and sweep point (the delta grid of scenarios 2 and 3, a
+    single point otherwise) the scenario's data function draws from that
+    point's generator.  Each arm, one per sigma plus scenario 3's unfiltered
+    baseline at sigma 1, then builds two evaluators and classifies the test
+    set.  An empty test set records NaN rates.
+    """
+    sweep = cfg.delta_grid if cfg.scenario in (2, 3) else (None,)
+    baseline = cfg.scenario == 3 and cfg.include_unfiltered_baseline
+    keys = [*cfg.sigma_grid, *(["baseline"] if baseline else [])]
+    acc = {(k, delta): ([], []) for k in keys for delta in sweep}
+    for rep in range(cfg.reps):
+        for i, delta in enumerate(sweep):
+            rng = _rep_rng(cfg, rep, i)
+            train1, train2, test, truth = _DATA[cfg.scenario](cfg, rng, delta)
+            if cfg.scenario == 3:
+                raw = (train1, train2)
+                train1, train2 = (band_filter(t, cfg.setting, delta)[1] for t in raw)
+            if len(test) == 0:
+                for k in keys:
+                    for col in acc[(k, delta)]:
+                        col.append(float("nan"))
+                continue
+            omask = outsider_mask(train1, train2, test)
+            arms = [(s, s, train1, train2, omask) for s in cfg.sigma_grid]
+            if baseline:
+                arms.append(("baseline", 1.0, *raw, outsider_mask(*raw, test)))
+            for key, sigma, t1, t2, mask in arms:
+                ev1 = DepthEvaluator(t1, _depth_cfg(cfg, sigma, rng))
+                ev2 = DepthEvaluator(t2, _depth_cfg(cfg, sigma, rng))
+                # tie seed first, then the DD fit seed: the tables' random streams
+                tie_seed = int(rng.integers(2**31))
+                seed = None if cfg.classifier == "maxdepth" else int(rng.integers(2**31))
+                pred = classify_points(
+                    ev1,
+                    ev2,
+                    t1,
+                    t2,
+                    test,
+                    cfg.classifier,
+                    degree=cfg.degree,
+                    restarts=8,
+                    seed=seed,
+                    tie_seed=tie_seed,
+                )
+                for col, rate in zip(acc[(key, delta)], _rates(pred, truth, mask)):
+                    col.append(rate)
+    # Only scenario 4 may leave the setting empty.
+    setting = cfg.setting or "uniform_quartet"
+    rows = []
+    for (key, delta), (r, o) in acc.items():
+        if delta is None:
+            rows.append(ResultRow(cfg.scenario, setting, key, np.array(r), np.array(o)))
+            continue
+        label = "baseline-full-training" if key == "baseline" else f"sigma={key:g}"
+        rows.append(
+            ResultRow(cfg.scenario, f"{setting}|{label}", delta, np.array(r), np.array(o))
+        )
+    return ResultTable(rows)
 
 
 def smallest_covering_sigma(

@@ -3,7 +3,7 @@
 Everything here trades speed for directness: the full-transform depth is
 re-derived from all ordered index tuples with no combinatorial reduction,
 and population depths come from closed forms or plain midpoint quadrature.
-Test-only; production paths never call into this module.
+Test-only: it lives beside the tests and is not installed with the package.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError
-from .geometry import GeomTolerance, SimplexBatch
-from .sigma import as_points, check_sigma
+from sigmadepth.errors import InputError, InsufficientDataError
+from sigmadepth.geometry import GeomTolerance, SimplexBatch
+from sigmadepth.sigma import as_points, check_sigma
 
 NAIVE_MAX_N = 10
 NAIVE_MAX_D = 2

@@ -14,11 +14,6 @@ from sigmadepth.depth import (
     compute_depth,
     depth_maximizer,
 )
-from sigmadepth.oracle import (
-    analytic_depth_1d_uniform,
-    naive_full_depth,
-    two_interval_depth_quadrature,
-)
 from sigmadepth.sigma import sample_sigma_blocks
 from sigmadepth.sim import default_config, run_scenario
 from sigmadepth.symmetry import (
@@ -31,6 +26,12 @@ from sigmadepth.symmetry import (
     gamma_median_root,
     halfspace_center_box,
     projection_median_interval,
+)
+
+from oracle import (
+    analytic_depth_1d_uniform,
+    naive_full_depth,
+    two_interval_depth_quadrature,
 )
 
 CHECKERS = {

@@ -5,6 +5,7 @@ import pytest
 
 from sigmadepth.classify import (
     DDModel,
+    classify_points,
     fit_dd,
     max_depth_classify,
     max_depth_classify_batch,
@@ -69,6 +70,30 @@ def test_batch_matches_scalar_rule():
     batch = max_depth_classify_batch(ev1, ev2, X, tie_seed=4)
     scalar = [max_depth_classify(train1, train2, x, CFG, tie_seed=4) for x in X]
     assert np.array_equal(batch, scalar)
+
+
+def test_classify_points_applies_the_named_rule():
+    rng = np.random.default_rng(3)
+    train1 = rng.standard_normal((20, 2))
+    train2 = rng.standard_normal((20, 2)) + 1.5
+    X = rng.standard_normal((15, 2)) + 0.7
+    ev1 = DepthEvaluator(train1, CFG)
+    ev2 = DepthEvaluator(train2, CFG)
+    args = (ev1, ev2, train1, train2, X)
+    kw = dict(degree=3, restarts=2, seed=5, tie_seed=4)
+    assert np.array_equal(
+        classify_points(*args, "maxdepth", **kw),
+        max_depth_classify_batch(ev1, ev2, X, tie_seed=4),
+    )
+    labels = np.repeat([1, 2], 20)
+    both = np.vstack([train1, train2])
+    model = fit_dd(ev1.depths(both), ev2.depths(both), labels, degree=1, tie_seed=4)
+    assert np.array_equal(
+        classify_points(*args, "dd-linear", **kw),
+        predict_dd_points(model, ev1.depths(X), ev2.depths(X), X),
+    )
+    with pytest.raises(InputError):
+        classify_points(*args, "svm", **kw)
 
 
 def test_linear_fit_attains_bruteforce_optimum():

@@ -12,9 +12,7 @@ from sigmadepth.depth import (
     DepthEvaluator,
     DepthValue,
     compute_depth,
-    depth_dist_enlarged_blocks,
     depth_maximizer,
-    depth_simplex_enlarged,
     trimmed_region_grid,
 )
 from sigmadepth.errors import InputError, InsufficientDataError, ResourceCapError
@@ -234,11 +232,11 @@ def test_convenience_wrappers_agree():
     rng = np.random.default_rng(13)
     data = rng.standard_normal((12, 1))
     cfg = DepthConfig(sigma=2.0, method="simplex_enlarged")
-    a = depth_simplex_enlarged(data, [0.2], cfg).value
-    b = compute_depth(data, [0.2], cfg).value
+    a = compute_depth(data, [0.2], cfg).value
+    b = DepthEvaluator(data, cfg).depths(np.array([[0.2]]))[0]
     assert a == b
     data9 = rng.standard_normal((9, 2))
-    blocks = depth_dist_enlarged_blocks(
+    blocks = compute_depth(
         data9, [0.0, 0.0], DepthConfig(method="dist_enlarged_blocks", sigma=2.0)
     )
     assert blocks.exact

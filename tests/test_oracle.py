@@ -7,7 +7,8 @@ import pytest
 
 from sigmadepth.depth import DepthConfig, compute_depth
 from sigmadepth.errors import InputError, InsufficientDataError
-from sigmadepth.oracle import (
+
+from oracle import (
     analytic_depth_1d_uniform,
     naive_full_depth,
     two_interval_depth_quadrature,

@@ -9,6 +9,7 @@ import pytest
 from sigmadepth.errors import InputError
 from sigmadepth.sim import (
     ResultRow,
+    ResultTable,
     ScenarioConfig,
     band_filter,
     default_config,
@@ -100,25 +101,25 @@ def test_band_filter_examples():
 def test_scale_setting_triples_the_spread():
     cfg = default_config(1, setting="normal_scale", n_test=20_000)
     rng = np.random.default_rng(0)
-    _, _, test, truth = _sim1_data(cfg, rng)
+    _, _, test, truth = _sim1_data(cfg, rng, None)
     sd1 = test[truth == 1].std(axis=0)
     sd2 = test[truth == 2].std(axis=0)
     assert np.allclose(sd2 / sd1, 3.0, rtol=0.1)
     cov_cfg = ScenarioConfig(
         scenario=1, setting="normal_scale", scale_on_cov=True, n_test=20_000
     )
-    _, _, test_c, truth_c = _sim1_data(cov_cfg, rng)
+    _, _, test_c, truth_c = _sim1_data(cov_cfg, rng, None)
     ratio = test_c[truth_c == 2].std(axis=0) / test_c[truth_c == 1].std(axis=0)
     assert np.allclose(ratio, math.sqrt(3.0), rtol=0.1)
 
 
 def test_location_setting_shifts_every_coordinate():
     cfg = default_config(1, setting="normal_location", n_test=20_000)
-    _, _, test, truth = _sim1_data(cfg, np.random.default_rng(1))
+    _, _, test, truth = _sim1_data(cfg, np.random.default_rng(1), None)
     gap = test[truth == 2].mean(axis=0) - test[truth == 1].mean(axis=0)
     assert np.allclose(gap, 2.0, atol=0.1)
     ecfg = default_config(1, setting="elliptical_location", n_test=20_000)
-    _, _, etest, etruth = _sim1_data(ecfg, np.random.default_rng(2))
+    _, _, etest, etruth = _sim1_data(ecfg, np.random.default_rng(2), None)
     # heavy tails: compare medians, which sit at the shift
     egap = np.median(etest[etruth == 2], axis=0) - np.median(etest[etruth == 1], axis=0)
     assert np.allclose(egap, 4.0, atol=0.25)
@@ -137,6 +138,9 @@ def test_config_validation():
         ScenarioConfig(scenario=3, setting="symmetric", delta_grid=())
     with pytest.raises(InputError):
         ScenarioConfig(scenario=1, setting="normal_location", reps=0)
+    for scenario, setting in ((1, "normal_location"), (2, "symmetric"), (4, "")):
+        with pytest.raises(InputError):
+            ScenarioConfig(scenario=scenario, setting=setting, delta_grid=(1.0,), n_test=0)
 
 
 def test_result_row_aggregates():
@@ -154,6 +158,15 @@ def test_result_row_aggregates():
     assert row.reps == 3
     with pytest.raises(InputError):
         ResultRow(4, "s", 1.0, np.array([1.2]), np.array([0.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_nan_row_aggregates_to_nan_without_warnings():
+    nan = np.array([np.nan, np.nan])
+    row = ResultRow(3, "symmetric|sigma=1", 1.0, nan, nan)
+    assert math.isnan(row.median)
+    assert math.isnan(row.quantile(0.25))
+    assert math.isnan(json.loads(ResultTable([row]).to_json())["rows"][0]["q75"])
 
 
 def test_scenario_tables_are_reproducible():
