@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import DEFAULT_EPS, GeomTolerance, SimplexBatch, as_point
+from .geometry import GeomTolerance, SimplexBatch, as_point
 from .sigma import as_points, check_sigma, sample_sigma_blocks
 
 METHODS = (
