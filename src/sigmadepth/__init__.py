@@ -13,10 +13,9 @@ symmetry checkers, and a simulation harness.
 from .classify import (
     DDModel,
     fit_dd,
-    max_depth_classify,
+    max_depth_classify_batch,
     misclassification_rate,
     outsider_mask,
-    predict_dd,
     predict_dd_points,
 )
 from .depth import (
@@ -101,12 +100,11 @@ __all__ = [
     "fit_dd",
     "gamma_median_root",
     "halfspace_center_box",
-    "max_depth_classify",
+    "max_depth_classify_batch",
     "misclassification_rate",
     "outsider_mask",
     "full_scale_config",
     "point_mass",
-    "predict_dd",
     "predict_dd_points",
     "projection_median_interval",
     "run_scenario",

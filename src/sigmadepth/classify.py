@@ -2,10 +2,11 @@
 
 A DD-plot scatters (depth w.r.t. class 1, depth w.r.t. class 2); the fitted
 separating curve is a polynomial through the origin, class 2 being the
-region above the curve.  All exact ties are resolved by a deterministic
-fair coin derived from a tie seed and a content hash of the tied values,
-so repeated runs agree bit for bit while distinct seeds average out to a
-fair allocation.
+region above the curve.  Both rules act on a batch of test points, and
+every exact tie is resolved by a deterministic fair coin derived from a
+tie seed and a content hash of the tied point's coordinates, so repeated
+runs agree bit for bit while distinct seeds average out to a fair
+allocation.
 """
 
 from __future__ import annotations
@@ -17,18 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .depth import DepthConfig, DepthEvaluator, compute_depth
+from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError
-from .geometry import DEFAULT_EPS, GeomTolerance, as_point, convex_hull_contains_many
-from .sigma import as_points
+from .geometry import DEFAULT_EPS, GeomTolerance, as_points, convex_hull_contains_many
 
 __all__ = [
     "DDModel",
     "stable_hash",
-    "max_depth_classify",
     "max_depth_classify_batch",
     "fit_dd",
-    "predict_dd",
     "predict_dd_points",
     "classify_points",
     "outsider_mask",
@@ -117,20 +115,12 @@ class DDModel:
             raise InputError(f"bad model JSON: {exc}") from exc
 
 
-def max_depth_classify(train1, train2, x, cfg: DepthConfig, tie_seed=0) -> int:
-    """Assign x to the class giving it larger depth; exact ties flip a coin."""
-    x = as_point(x)
-    v1 = compute_depth(train1, x, cfg).value
-    v2 = compute_depth(train2, x, cfg).value
-    if v1 > v2:
-        return 1
-    if v2 > v1:
-        return 2
-    return _tie_coin(tie_seed, x)
-
-
 def max_depth_classify_batch(eval1: DepthEvaluator, eval2: DepthEvaluator, X, tie_seed=0):
-    """Vectorized max-depth rule reusing prebuilt evaluators per class."""
+    """Assign each row of X to the class giving it larger depth; exact ties flip a coin.
+
+    The depths come from prebuilt evaluators, one per class, and each tied
+    point gets its own coin keyed on (tie_seed, point).
+    """
     X = as_points(X)
     v1 = eval1.depths(X)
     v2 = eval2.depths(X)
@@ -152,11 +142,11 @@ def _labels_as_two_classes(labels, n):
 
 
 def _rule_loss(margins, labels):
-    """Mean 0-1 loss of 'class 2 iff margin > 0'; boundary hits count half."""
+    """Mean 0-1 loss of 'class 2 iff margin > 0' over the last axis; boundary hits count half."""
     is2 = labels == 2
     wrong = np.where(margins > 0, ~is2, is2).astype(float)
     wrong[margins == 0] = 0.5
-    return float(wrong.mean())
+    return wrong.mean(axis=-1)
 
 
 def _linear_scan(d1, d2, labels):
@@ -178,11 +168,7 @@ def _linear_scan(d1, d2, labels):
     else:
         cands.append(np.ones(1))
     cands = np.unique(np.concatenate(cands))
-    margins = d2[None, :] - cands[:, None] * d1[None, :]
-    is2 = labels == 2
-    wrong = np.where(margins > 0, ~is2, is2).astype(float)
-    wrong[margins == 0] = 0.5
-    losses = wrong.mean(axis=1)
+    losses = _rule_loss(d2[None, :] - cands[:, None] * d1[None, :], labels)
     best = int(np.argmin(losses))  # argmin takes the first = smallest slope
     return float(cands[best]), float(losses[best])
 
@@ -222,7 +208,7 @@ def fit_dd(
     powers = np.stack([d1**k for k in range(1, degree + 1)], axis=1)
 
     def loss(a):
-        return _rule_loss(d2 - powers @ a, labels)
+        return float(_rule_loss(d2 - powers @ a, labels))
 
     x0 = np.zeros(degree)
     x0[0] = slope
@@ -243,18 +229,6 @@ def fit_dd(
         if key[:2] < best[:2]:
             best = key
     return DDModel(degree, best[2], cfg, tie_seed)
-
-
-def predict_dd(model: DDModel, d1, d2) -> int:
-    """Apply the fitted rule to one (d1, d2) pair; exact tie flips a coin."""
-    d1 = float(d1)
-    d2 = float(d2)
-    cut = float(model.boundary(d1))
-    if d2 > cut:
-        return 2
-    if d2 < cut:
-        return 1
-    return _tie_coin(model.tie_seed, [d1, d2])
 
 
 def predict_dd_points(model: DDModel, d1, d2, X):

@@ -213,19 +213,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     try:
-        obj = json.loads(Path(args.dist).read_text())
-        dist = DiscreteDistribution(
-            np.asarray(obj["support"], dtype=float),
-            np.asarray(obj["weights"], dtype=float),
-        )
+        text = Path(args.dist).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {args.dist}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed distribution JSON: {exc}") from exc
+    dist = DiscreteDistribution.from_json(text)
+    obj = json.loads(text)
     if args.center is not None:
         center = np.array(_floats(args.center))
     elif "center" in obj:
-        center = np.asarray(obj["center"], dtype=float)
+        try:
+            center = np.asarray(obj["center"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed center in {args.dist}: {exc}") from exc
     else:
         raise InputError("no --center given and the JSON has no 'center' field")
     checker = {

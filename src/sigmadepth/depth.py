@@ -29,8 +29,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import GeomTolerance, SimplexBatch, as_point
-from .sigma import as_points, check_sigma, sample_sigma_blocks
+from .geometry import GeomTolerance, SimplexBatch, as_point, as_points
+from .sigma import check_sigma, sample_sigma_blocks
 
 METHODS = (
     "simplicial",
@@ -82,12 +82,6 @@ class DepthValue:
 
 def _iter_combo_chunks(n: int, k: int, chunk: int):
     """Yield all C(n, k) index combinations as (c, k) int arrays, lex order."""
-    if k == 2:
-        i, j = np.triu_indices(n, 1)
-        combos = np.stack([i, j], axis=1)
-        for s in range(0, len(combos), chunk):
-            yield combos[s : s + chunk]
-        return
     if k == 3:
         buf = []
         size = 0

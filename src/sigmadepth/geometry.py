@@ -50,6 +50,18 @@ def as_point(x) -> np.ndarray:
     return x
 
 
+def as_points(points) -> np.ndarray:
+    """Validate and return an (n, d) float array of finite points."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise InputError(f"expected a nonempty (n, d) point array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("points must be finite")
+    return pts
+
+
 def as_simplex(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim == 1:
@@ -149,8 +161,8 @@ def enlarge_simplex(simplex, sigma: float) -> np.ndarray:
     v = as_simplex(simplex)
     if not (np.isfinite(sigma) and sigma > 0):
         raise InputError(f"sigma must be finite and > 0, got {sigma}")
-    c = v.mean(axis=0)
-    return c + sigma * (v - c)
+    # At sigma = 1 enlarge_batch hands back its input, which may be the caller's array.
+    return enlarge_batch(v[None], sigma)[0].copy()
 
 
 def enlarge_batch(verts: np.ndarray, sigma: float) -> np.ndarray:
@@ -159,17 +171,6 @@ def enlarge_batch(verts: np.ndarray, sigma: float) -> np.ndarray:
         return verts
     c = verts.mean(axis=1, keepdims=True)
     return c + sigma * (verts - c)
-
-
-def _as_hull_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputError("hull needs a nonempty (k, d) point array")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("hull points must be finite")
-    return pts
 
 
 def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> bool:
@@ -181,7 +182,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
     solver's tolerances act on the spread of the points, not on their
     distance from the origin.
     """
-    pts = _as_hull_points(points)
+    pts = as_points(points)
     x = as_point(x)
     k, d = pts.shape
     if x.size != d:
@@ -210,7 +211,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
 def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
     """Boolean mask over the rows of X (q, d): convex_hull_contains for each row."""
-    pts = _as_hull_points(points)
+    pts = as_points(points)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

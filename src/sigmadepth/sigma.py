@@ -5,6 +5,13 @@ an affine combination that stretches X_1 away from the block mean.  Applied
 to i.i.d. draws it induces a transformed distribution whose covariance is
 the original scaled by sigma_covariance_factor; for finite-support inputs
 the transform is computed exactly by tuple enumeration.
+
+Exact discrete results merge coincident atoms with merge_close_points.  It
+groups rows one coordinate at a time, so atoms within 1e-12 of each other
+in every coordinate share a group even when other atoms sort between them
+in lexicographic order; DiscreteDistribution uses it to reject supports
+that are not pairwise distinct, and the central symmetry check to match
+reflected atoms.
 """
 
 from __future__ import annotations
@@ -15,77 +22,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
+from .geometry import as_points
 
 MERGE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 DEFAULT_TUPLE_CAP = 10**7
 
 
-def as_points(points) -> np.ndarray:
-    """Validate and return an (n, d) float array of finite points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-        raise InputError(f"expected a nonempty (n, d) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("points must be finite")
-    return pts
-
-
 def merge_close_points(points: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
-    """Collapse points whose coordinates all match within tol, summing weights.
+    """Collapse points whose coordinates match within tol, summing weights.
 
-    Points are lexsorted, then grouped by walking adjacent rows and comparing
-    against the open group's representative (its first row).  Intended for
-    exact duplicates produced by symmetric affine combinations, where the
-    float sums agree to well below tol.
+    Rows are grouped one coordinate at a time: at coordinate j they are
+    lexsorted by (group so far, coordinate j), and a new group starts where
+    the group changes or the coordinate jumps by more than tol.  Rows
+    within tol of each other in every coordinate therefore always share a
+    group, whatever sorts between them (a chain of rows spaced under tol
+    may merge further).  Returns one row per group, the group's first row
+    in the final sort, and the summed weights, with the groups in
+    lexicographic order of their merged coordinates.  Exact duplicates
+    come out as from a plain lexsort, and each group's weights are summed
+    in input order.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    wts = weights[order]
-    n = len(pts)
+    n, d = points.shape
     if n == 0:
-        return pts, wts
-    # Group ids: a new group starts where the row leaves the tol-box of the
-    # current representative.
-    rep = pts[0]
-    gid = np.empty(n, dtype=np.int64)
-    gid[0] = 0
-    g = 0
-    for i in range(1, n):
-        if np.all(np.abs(pts[i] - rep) <= tol):
-            gid[i] = g
-        else:
-            g += 1
-            gid[i] = g
-            rep = pts[i]
-    reps = pts[np.searchsorted(gid, np.arange(g + 1))]
-    summed = np.bincount(gid, weights=wts, minlength=g + 1)
-    return reps, summed
-
-
-def _merge_close_fast(points: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
-    """merge_close_points for large arrays: vectorized adjacent-difference grouping.
-
-    Slightly stricter than the representative walk (a long chain of points
-    spaced just under tol merges there but may split here); both collapse
-    exact duplicates, which is the case that matters.
-    """
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    wts = weights[order]
-    if len(pts) == 0:
-        return pts, wts
-    new = np.empty(len(pts), dtype=bool)
+        return points, weights
+    gid = np.zeros(n, dtype=np.int64)
+    new = np.empty(n, dtype=bool)
     new[0] = True
-    new[1:] = np.any(np.abs(np.diff(pts, axis=0)) > tol, axis=1)
-    gid = np.cumsum(new) - 1
-    reps = pts[new]
-    summed = np.bincount(gid, weights=wts)
-    return reps, summed
+    for j in range(d):
+        order = np.lexsort((points[:, j], gid))
+        g = gid[order]
+        col = points[order, j]
+        new[1:] = (g[1:] != g[:-1]) | (col[1:] - col[:-1] > tol)
+        gid[order] = np.cumsum(new) - 1
+    return points[order[new]], np.bincount(gid, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -104,7 +76,7 @@ class DiscreteDistribution:
             raise InputError("weights must be finite and >= 0")
         if abs(wts.sum() - 1.0) > WEIGHT_TOL:
             raise InputError(f"weights must sum to 1 within {WEIGHT_TOL}, got {wts.sum()!r}")
-        merged, _ = _merge_close_fast(sup, wts)
+        merged, _ = merge_close_points(sup, wts)
         if len(merged) != len(sup):
             raise InputError("support points must be pairwise distinct (tol 1e-12)")
         object.__setattr__(self, "support", sup)
@@ -156,6 +128,12 @@ def check_sigma(sigma: float) -> float:
     return sigma
 
 
+def _combine_blocks(blocks: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma * X_1 + (1 - sigma)/p * sum_j X_j for (..., p, d) blocks of p points."""
+    p = blocks.shape[-2]
+    return sigma * blocks[..., 0, :] + (1.0 - sigma) / p * blocks.sum(axis=-2)
+
+
 def sigma_combine(block, sigma: float) -> np.ndarray:
     """Collapse a block of d+1 points in R^d to one point.
 
@@ -167,7 +145,7 @@ def sigma_combine(block, sigma: float) -> np.ndarray:
     k, d = pts.shape
     if k != d + 1:
         raise InputError(f"block must hold d+1 points in R^d, got {k} points in R^{d}")
-    return sigma * pts[0] + (1.0 - sigma) / k * pts.sum(axis=0)
+    return _combine_blocks(pts, sigma)
 
 
 def sample_sigma_blocks(data, sigma: float) -> np.ndarray:
@@ -185,7 +163,7 @@ def sample_sigma_blocks(data, sigma: float) -> np.ndarray:
         raise InsufficientDataError(f"need at least d+1 = {p} points, got {n}")
     k = n // p
     blocks = pts[: k * p].reshape(k, p, d)
-    return sigma * blocks[:, 0, :] + (1.0 - sigma) / p * blocks.sum(axis=1)
+    return _combine_blocks(blocks, sigma)
 
 
 def sigma_covariance_factor(d: int, sigma: float) -> float:
@@ -216,7 +194,6 @@ def discrete_sigma_transform(
             f"{s}^{p} = {total} tuples exceeds the cap {cap}; raise cap explicitly"
         )
 
-    w_tail = (1.0 - sigma) / p
     out_pts = np.empty((total, d))
     out_wts = np.empty(total)
     # Unrank tuple ids into base-s digits chunk by chunk; digit 0 is the leader.
@@ -225,13 +202,10 @@ def discrete_sigma_transform(
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (ids[:, None] // divisors) % s
-        pts = sup[digits]
-        out_pts[start : start + len(ids)] = (
-            sigma * pts[:, 0, :] + w_tail * pts.sum(axis=1)
-        )
+        out_pts[start : start + len(ids)] = _combine_blocks(sup[digits], sigma)
         out_wts[start : start + len(ids)] = np.prod(wts[digits], axis=1)
 
-    merged_pts, merged_wts = _merge_close_fast(out_pts, out_wts)
+    merged_pts, merged_wts = merge_close_points(out_pts, out_wts)
     # Renormalize away accumulated rounding before the constructor's sum check.
     merged_wts = merged_wts / merged_wts.sum()
     return DiscreteDistribution(merged_pts, merged_wts)

@@ -42,8 +42,7 @@ from .classify import (
 )
 from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError
-from .geometry import GeomTolerance
-from .sigma import as_points
+from .geometry import GeomTolerance, as_points
 
 __all__ = [
     "ScenarioConfig",

@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import as_point
-from .sigma import (
-    DiscreteDistribution,
-    affine_image,
-    discrete_convolution,
-    merge_close_points,
-)
+from .sigma import DiscreteDistribution, merge_close_points
 
 __all__ = [
     "SymmetryVerdict",
@@ -37,8 +32,6 @@ __all__ = [
     "projection_median_interval",
     "gamma_median_root",
     "corpus_distribution",
-    "discrete_convolution",
-    "affine_image",
 ]
 
 PROB_TOL = 1e-12
@@ -225,12 +218,9 @@ def corpus_distribution(name: str):
     """
     resource = importlib.resources.files("sigmadepth").joinpath(f"data/{name}.json")
     try:
-        obj = json.loads(resource.read_text())
+        text = resource.read_text()
     except FileNotFoundError as exc:
         raise InputError(f"unknown corpus distribution {name!r}") from exc
-    dist = DiscreteDistribution(
-        np.asarray(obj["support"], dtype=float),
-        np.asarray(obj["weights"], dtype=float),
-    )
-    meta = {k: v for k, v in obj.items() if k not in ("support", "weights")}
+    dist = DiscreteDistribution.from_json(text)
+    meta = {k: v for k, v in json.loads(text).items() if k not in ("support", "weights")}
     return dist, meta

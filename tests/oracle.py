@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sigmadepth.errors import InputError, InsufficientDataError
-from sigmadepth.geometry import GeomTolerance, SimplexBatch
-from sigmadepth.sigma import as_points, check_sigma
+from sigmadepth.geometry import GeomTolerance, SimplexBatch, as_points
+from sigmadepth.sigma import check_sigma
 
 NAIVE_MAX_N = 10
 NAIVE_MAX_D = 2

@@ -14,15 +14,13 @@ from sigmadepth.depth import (
     compute_depth,
     depth_maximizer,
 )
-from sigmadepth.sigma import sample_sigma_blocks
+from sigmadepth.sigma import affine_image, discrete_convolution, sample_sigma_blocks
 from sigmadepth.sim import default_config, run_scenario
 from sigmadepth.symmetry import (
     check_angular_symmetry,
     check_central_symmetry,
     check_halfspace_symmetry,
     corpus_distribution,
-    discrete_convolution,
-    affine_image,
     gamma_median_root,
     halfspace_center_box,
     projection_median_interval,

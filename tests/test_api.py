@@ -1,0 +1,41 @@
+"""API guard: every exported name resolves, and submodules export only their own names."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import sigmadepth
+
+SUBMODULES = [
+    importlib.import_module(f"sigmadepth.{info.name}")
+    for info in pkgutil.iter_modules(sigmadepth.__path__)
+]
+EXPORTING = [module for module in SUBMODULES if hasattr(module, "__all__")]
+
+
+def top_level_definitions(module) -> set:
+    """Names a module binds itself at top level: defs, classes and assignments."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_all_resolves():
+    missing = [name for name in sigmadepth.__all__ if not hasattr(sigmadepth, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", EXPORTING, ids=lambda module: module.__name__)
+def test_submodule_all_resolves_to_own_names(module):
+    exported = module.__all__
+    assert [name for name in exported if not hasattr(module, name)] == []
+    own = top_level_definitions(module)
+    assert [name for name in exported if name not in own] == []

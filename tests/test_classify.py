@@ -7,11 +7,9 @@ from sigmadepth.classify import (
     DDModel,
     classify_points,
     fit_dd,
-    max_depth_classify,
     max_depth_classify_batch,
     misclassification_rate,
     outsider_mask,
-    predict_dd,
     predict_dd_points,
     stable_hash,
 )
@@ -29,38 +27,38 @@ def rule_loss(slope, d1, d2, labels):
     return float(wrong.mean())
 
 
+def interval_evaluators(cfg):
+    """Evaluators for the training intervals [0, 1] (class 1) and [10, 11] (class 2)."""
+    return DepthEvaluator([[0.0], [1.0]], cfg), DepthEvaluator([[10.0], [11.0]], cfg)
+
+
 def test_max_depth_separated_intervals():
-    train1 = np.array([[0.0], [1.0]])
-    train2 = np.array([[10.0], [11.0]])
-    assert max_depth_classify(train1, train2, [0.5], CFG) == 1
-    assert max_depth_classify(train1, train2, [10.5], CFG) == 2
+    ev1, ev2 = interval_evaluators(CFG)
+    assert max_depth_classify_batch(ev1, ev2, [[0.5], [10.5]]).tolist() == [1, 2]
 
 
 def test_max_depth_midpoint_needs_enough_dilation():
     """Halfway between the intervals: sigma decides reach, then ties coin."""
-    train1 = np.array([[0.0], [1.0]])
-    train2 = np.array([[10.0], [11.0]])
     # sigma 10: [0,1] stretches to [-4.5, 5.5] and covers 5, [10,11] does not
-    ten = DepthConfig(method="simplex_enlarged", sigma=10.0)
-    assert max_depth_classify(train1, train2, [5.0], ten) == 1
+    ten = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=10.0))
+    assert max_depth_classify_batch(*ten, [[5.0]])[0] == 1
     # sigma 12: both dilations cover 5, so the call resolves a (1, 1) tie
-    twelve = DepthConfig(method="simplex_enlarged", sigma=12.0)
-    got = {max_depth_classify(train1, train2, [5.0], twelve, tie_seed=s) for s in range(8)}
+    twelve = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=12.0))
+    got = {int(max_depth_classify_batch(*twelve, [[5.0]], tie_seed=s)[0]) for s in range(8)}
     assert got <= {1, 2} and len(got) == 2
 
 
 def test_tie_coin_is_roughly_fair_across_seeds():
-    train1 = np.array([[0.0], [1.0]])
-    train2 = np.array([[10.0], [11.0]])
-    twelve = DepthConfig(method="simplex_enlarged", sigma=12.0)
+    twelve = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=12.0))
     hits = sum(
-        max_depth_classify(train1, train2, [5.0], twelve, tie_seed=s) == 1
+        max_depth_classify_batch(*twelve, [[5.0]], tie_seed=s)[0] == 1
         for s in range(10_000)
     )
     assert 0.47 <= hits / 10_000 <= 0.53
 
 
 def test_batch_matches_scalar_rule():
+    """The rule on X equals the rule on each one-row slice of X."""
     rng = np.random.default_rng(3)
     train1 = rng.standard_normal((20, 2))
     train2 = rng.standard_normal((20, 2)) + 1.5
@@ -68,8 +66,8 @@ def test_batch_matches_scalar_rule():
     ev1 = DepthEvaluator(train1, CFG)
     ev2 = DepthEvaluator(train2, CFG)
     batch = max_depth_classify_batch(ev1, ev2, X, tie_seed=4)
-    scalar = [max_depth_classify(train1, train2, x, CFG, tie_seed=4) for x in X]
-    assert np.array_equal(batch, scalar)
+    rows = [max_depth_classify_batch(ev1, ev2, x[None], tie_seed=4)[0] for x in X]
+    assert np.array_equal(batch, rows)
 
 
 def test_classify_points_applies_the_named_rule():
@@ -122,8 +120,8 @@ def test_linear_fit_separable_is_perfect():
     labels = np.array([1, 1, 1, 2, 2, 2])
     model = fit_dd(d1, d2, labels, degree=1)
     assert rule_loss(model.coefficients[0], d1, d2, labels) == 0.0
-    assert predict_dd(model, 0.9, 0.1) == 1
-    assert predict_dd(model, 0.1, 0.9) == 2
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert predict_dd_points(model, [0.9, 0.1], [0.1, 0.9], X).tolist() == [1, 2]
 
 
 def test_fit_never_beats_majority_from_noise():
@@ -191,9 +189,10 @@ def test_model_json_round_trip():
 
 def test_predict_is_deterministic():
     model = DDModel(1, np.array([1.0]), CFG, tie_seed=3)
-    assert predict_dd(model, 0.2, 0.3) == 2
-    assert predict_dd(model, 0.3, 0.2) == 1
-    tie = [predict_dd(model, 0.0, 0.0) for _ in range(5)]
+    X = np.array([[0.5, -1.0], [2.0, 3.0], [7.0, 7.0]])
+    d1, d2 = [0.2, 0.3, 0.0], [0.3, 0.2, 0.0]
+    assert predict_dd_points(model, d1, d2, X)[:2].tolist() == [2, 1]
+    tie = [int(predict_dd_points(model, d1, d2, X)[2]) for _ in range(5)]
     assert len(set(tie)) == 1 and tie[0] in (1, 2)
 
 

@@ -264,6 +264,10 @@ def test_symmetry_command_center_override(tmp_path):
     assert json.loads(out.read_text())["symmetric"] is True
     # no center anywhere: flag missing and file has none
     assert main(["symmetry", "--dist", str(dist), "--kind", "central"]) == 2
+    dist.write_text(
+        json.dumps({"support": [[-1.0], [1.0]], "weights": [0.5, 0.5], "center": "abc"})
+    )
+    assert main(["symmetry", "--dist", str(dist), "--kind", "central"]) == 2
     dist.write_text("not json at all")
     assert main(["symmetry", "--dist", str(dist), "--kind", "central",
                  "--center", "0"]) == 2

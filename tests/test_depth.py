@@ -11,6 +11,7 @@ from sigmadepth.depth import (
     DepthConfig,
     DepthEvaluator,
     DepthValue,
+    _iter_combo_chunks,
     compute_depth,
     depth_maximizer,
     trimmed_region_grid,
@@ -26,6 +27,14 @@ HOEFFDING_DELTA = 1e-3
 
 def exact_cfg(method="simplex_enlarged", sigma=2.0, **kw):
     return DepthConfig(method=method, sigma=sigma, **kw)
+
+
+@pytest.mark.parametrize("n, k, chunk", [(9, 3, 5), (7, 3, 1), (9, 4, 7), (6, 4, 1)])
+def test_combo_chunks_follow_itertools_order(n, k, chunk):
+    chunks = list(_iter_combo_chunks(n, k, chunk))
+    assert all(0 < len(c) <= chunk for c in chunks)
+    got = [tuple(int(i) for i in row) for c in chunks for row in c]
+    assert got == list(itertools.combinations(range(n), k))
 
 
 def test_simplicial_triangle_centroid():

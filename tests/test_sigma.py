@@ -161,6 +161,22 @@ def test_distribution_validation():
         DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
 
 
+def test_distribution_rejects_near_duplicates_split_by_the_sort():
+    """(0.1, 0) and (0.1 + 1e-15, 0) coincide within tol; (0.1, 1) sorts between them."""
+    with pytest.raises(InputError):
+        DiscreteDistribution(
+            np.array([[0.1, 0.0], [0.1, 1.0], [0.1 + 1e-15, 0.0]]), np.full(3, 1 / 3)
+        )
+
+
+def test_merge_close_points_groups_rows_within_tol_whatever_sorts_between():
+    pts = np.array([[0.1, 0.0], [0.1, 1.0], [0.1 + 1e-15, 0.0], [0.2, 0.0]])
+    wts = np.array([0.125, 0.25, 0.125, 0.5])
+    mp, mw = merge_close_points(pts, wts)
+    assert np.array_equal(mp, pts[[0, 1, 3]])
+    assert np.array_equal(mw, [0.25, 0.25, 0.5])
+
+
 def test_distribution_json_round_trip():
     P = uniform_on([[0.25, -1.0], [3.0, 2.0], [0.0, 0.0]])
     Q = DiscreteDistribution.from_json(P.to_json())

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmadepth.errors import InputError
-from sigmadepth.sigma import DiscreteDistribution, point_mass, uniform_on
+from sigmadepth.sigma import (
+    DiscreteDistribution,
+    affine_image,
+    discrete_convolution,
+    point_mass,
+    uniform_on,
+)
 from sigmadepth.symmetry import (
     SymmetryVerdict,
-    affine_image,
     check_angular_symmetry,
     check_central_symmetry,
     check_halfspace_symmetry,
     corpus_distribution,
-    discrete_convolution,
     gamma_median_root,
     halfspace_center_box,
     projection_median_interval,
@@ -71,6 +75,33 @@ def test_central_symmetry_on_the_line():
     off = check_central_symmetry(P, [0.5])
     assert not off.symmetric
     assert off.witness is not None
+
+
+def test_central_symmetry_matches_atoms_split_by_the_sort():
+    """Reflected corners sort apart from their partners in lexicographic order.
+
+    Reflecting (0.1, 0) about the mean (0.3, 0.5) gives (0.5, 1) only up to
+    rounding, and the sort places (0.5, 0) between the two copies of it.
+    """
+    P = uniform_on([[0.1, 0.0], [0.1, 1.0], [0.5, 0.0], [0.5, 1.0]])
+    assert check_central_symmetry(P, P.mean()).symmetric
+
+
+def test_central_symmetry_on_decimal_reflection_corpus():
+    """Sets c +- h on a 0.1 grid are centrally symmetric about c by construction."""
+    rng = np.random.default_rng(7)
+    false_verdicts = 0
+    for _ in range(2000):
+        c = np.round(rng.uniform(-1.0, 1.0, 2), 1)
+        k = int(rng.integers(1, 5))
+        # First offset coordinate > 0, so no offset is zero or minus another.
+        h = np.column_stack(
+            [rng.uniform(0.1, 1.0, k), rng.uniform(-1.0, 1.0, k)]
+        )
+        h = np.unique(np.round(h, 1), axis=0)
+        P = uniform_on(np.vstack([c + h, c - h]))
+        false_verdicts += not check_central_symmetry(P, c).symmetric
+    assert false_verdicts == 0
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(2, 5))
