@@ -182,9 +182,11 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigma: float, eps: 
     iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and
     t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from n binary
     searches over the sorted values per query, O(q * n log n) in all,
-    instead of enumerating the n^2/2 pairs.  Pairs of exactly equal values
-    use the degenerate point rule |x - a| <= eps, matching the hull
-    fallback of the matrix kernel.
+    instead of enumerating the n^2/2 pairs.  The searches run over chunks
+    of queries, each threshold buffer holding at most
+    `SimplexBatch._CHUNK_ELEMS` elements, with no per-query Python loop.
+    Pairs of exactly equal values use the degenerate point rule
+    |x - a| <= eps, matching the hull fallback of the matrix kernel.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
@@ -196,24 +198,28 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigma: float, eps: 
     strict_total = int(first.sum())
 
     vals_u, cnt = np.unique(v, return_counts=True)
-    flat_group = cnt * (cnt - 1) // 2
+    tied = cnt > 1  # only repeated values form flat pairs
+    tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
 
     counts = np.empty(len(x), dtype=np.int64)
-    for qi, xq in enumerate(x):
+    step = max(1, SimplexBatch._CHUNK_ELEMS // n)
+    for s in range(0, len(x), step):
+        xq = x[s : s + step, None]
         # fail-left: A > x, conditioned on the smaller element of the pair
         thr_l = (xq - t * v) / u
-        fail_l = int((first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum())
+        fail_l = (first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum(axis=1)
         # fail-right: B < x
         if t < 0.0:
             thr_r = (xq - u * v) / t
-            fail_r = int((first - np.minimum(np.searchsorted(v, thr_r, side="right"), first)).sum())
+            kept = np.minimum(np.searchsorted(v, thr_r, side="right"), first)
+            fail_r = (first - kept).sum(axis=1)
         elif t == 0.0:
-            fail_r = int(first[v < xq].sum())
+            fail_r = np.where(v < xq, first, 0).sum(axis=1)
         else:
             thr_r = (xq - u * v) / t
-            fail_r = int(np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum())
-        flat_in = int(flat_group[np.abs(vals_u - xq) <= eps].sum())
-        counts[qi] = strict_total - fail_l - fail_r + flat_in
+            fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
+        flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
+        counts[s : s + step] = strict_total - fail_l - fail_r + flat_in
     return counts
 
 
@@ -273,8 +279,9 @@ class DepthEvaluator:
             self._strategy = "count1d"
         elif not self.exact:
             self._strategy = "mc"
-        # The cap guards enumeration work; the 1-D counting path answers
-        # queries in O(n log n) however many pairs the total names.
+        # The cap guards enumeration work; the 1-D counting path costs
+        # O(n log n) per query, in query chunks, however many pairs the
+        # total names.
         if self._strategy == "enum" and self.exact and total > cfg.exact_cap:
             raise ResourceCapError(
                 f"exact enumeration needs {total} simplices (cap {cfg.exact_cap}); "

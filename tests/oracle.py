@@ -141,3 +141,49 @@ def two_interval_depth_quadrature(
     )
     value = float(covered.sum()) * mass * mass
     return OracleReport(min(value, 1.0), "quadrature", covered.size)
+
+
+def count_pairs_1d_loop(values: np.ndarray, queries: np.ndarray, sigma: float, eps: float):
+    """Exact 1-D containment counting over all C(n,2) value pairs, one query at a time.
+
+    This is the per-query loop that `sigmadepth.depth._count_pairs_1d` ran
+    before it was vectorized over query chunks, kept as the reference for
+    bit-identical counts.
+
+    A pair (a <= b) dilated by sigma with barycentric slack eps contains x
+    iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and
+    t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from n binary
+    searches over the sorted values per query, O(q * n log n) in all,
+    instead of enumerating the n^2/2 pairs.  Pairs of exactly equal values
+    use the degenerate point rule |x - a| <= eps, matching the hull
+    fallback of the matrix kernel.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    n = len(v)
+    x = np.asarray(queries, dtype=float).ravel()
+    t = (1.0 - sigma) / 2.0 - eps * sigma
+    u = 1.0 - t
+
+    first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
+    strict_total = int(first.sum())
+
+    vals_u, cnt = np.unique(v, return_counts=True)
+    flat_group = cnt * (cnt - 1) // 2
+
+    counts = np.empty(len(x), dtype=np.int64)
+    for qi, xq in enumerate(x):
+        # fail-left: A > x, conditioned on the smaller element of the pair
+        thr_l = (xq - t * v) / u
+        fail_l = int((first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum())
+        # fail-right: B < x
+        if t < 0.0:
+            thr_r = (xq - u * v) / t
+            fail_r = int((first - np.minimum(np.searchsorted(v, thr_r, side="right"), first)).sum())
+        elif t == 0.0:
+            fail_r = int(first[v < xq].sum())
+        else:
+            thr_r = (xq - u * v) / t
+            fail_r = int(np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum())
+        flat_in = int(flat_group[np.abs(vals_u - xq) <= eps].sum())
+        counts[qi] = strict_total - fail_l - fail_r + flat_in
+    return counts

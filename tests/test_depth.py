@@ -6,18 +6,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import count_pairs_1d_loop
 
 from sigmadepth.depth import (
     DepthConfig,
     DepthEvaluator,
     DepthValue,
+    _count_pairs_1d,
     _iter_combo_chunks,
     compute_depth,
     depth_maximizer,
     trimmed_region_grid,
 )
 from sigmadepth.errors import InputError, InsufficientDataError, ResourceCapError
-from sigmadepth.geometry import SimplexBatch
+from sigmadepth.geometry import GeomTolerance, SimplexBatch
 from sigmadepth.sigma import sample_sigma_blocks
 
 HOEFFDING_TRIALS = 50
@@ -151,20 +153,76 @@ def test_streaming_enumeration_matches_direct_batch():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_one_dim_counting_matches_pair_batch(seed):
-    """The 1-D fast path must agree with brute-force pair containment."""
+    """The 1-D fast path must agree with brute-force pair containment.
+
+    Sigma 0.5 runs the t > 0 branch, and sigma 1 with eps 0 the t == 0 one.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 30))
     data = rng.standard_normal((n, 1))
     if n > 4 and rng.random() < 0.5:
         data[1] = data[0]  # force duplicate values
     X = rng.standard_normal((8, 1)) * 2.0
-    sigma = float(rng.choice([1.0, 1.5, 2.0, 4.0]))
-    cfg = DepthConfig(method="simplex_enlarged", sigma=sigma)
-    ev = DepthEvaluator(data, cfg)
-    assert ev._strategy == "count1d"
+    sigma = float(rng.choice([0.5, 1.0, 1.5, 2.0, 4.0]))
     pairs = np.array(list(itertools.combinations(range(n), 2)))
-    brute = SimplexBatch(data[pairs], sigma=sigma).contains_counts(X)
-    assert np.array_equal(ev.contain_counts(X), brute)
+    for eps in (1e-9, 0.0):
+        cfg = DepthConfig(method="simplex_enlarged", sigma=sigma, tol=GeomTolerance(eps=eps))
+        ev = DepthEvaluator(data, cfg)
+        assert ev._strategy == "count1d"
+        brute = SimplexBatch(data[pairs], eps=eps, sigma=sigma).contains_counts(X)
+        assert np.array_equal(ev.contain_counts(X), brute)
+
+
+PAIR_COUNT_KINDS = ("gaussian", "grid", "decimal", "ties")
+
+
+def _pair_count_corpus(kind):
+    rng = np.random.default_rng(PAIR_COUNT_KINDS.index(kind))
+    n = 26
+    if kind == "grid":
+        return rng.integers(-16, 17, n) / 8
+    if kind == "decimal":
+        return np.round(1e4 + 0.01 * rng.integers(-50, 51, n), 2)
+    if kind == "ties":
+        return rng.integers(0, 5, n).astype(float)
+    return rng.standard_normal(n)
+
+
+def _pair_count_queries(v, sigma, eps):
+    """Data points, midpoints, far points, and every pair end with its float neighbours."""
+    t = (1.0 - sigma) / 2.0 - eps * sigma
+    u = 1.0 - t
+    s = np.sort(v)
+    i, j = np.triu_indices(len(s), 1)
+    ends = np.concatenate([u * s[i] + t * s[j], u * s[j] + t * s[i]])
+    reach = 10.0 * (s[-1] - s[0] + 1.0)
+    far = np.array([s[0] - reach, s[-1] + reach])
+    near = [np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]
+    return np.concatenate([v, (s[:-1] + s[1:]) / 2, far, ends, *near])
+
+
+@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("kind", PAIR_COUNT_KINDS)
+def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
+    """Chunked 1-D pair counting gives byte-equal counts to the per-query loop.
+
+    Sigma 0.5, 1 and above with eps 1e-9 and 0 run all three t branches
+    (t > 0, t == 0, t < 0).  With the small cap the corpora below take one
+    query per chunk, a ragged last chunk, and n > cap.
+    """
+    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    full = _pair_count_corpus(kind)
+    hit = np.zeros(3, dtype=bool)  # one query per chunk, ragged last chunk, n > cap
+    for n in (len(full), 13, 7, 5):
+        v = full[-n:]
+        for sigma in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0):
+            for eps in (1e-9, 0.0):
+                X = _pair_count_queries(v, sigma, eps)
+                step = max(1, cap // n)
+                hit |= [step == 1, len(X) % step > 0, n > cap]
+                got = _count_pairs_1d(v, X, sigma, eps)
+                assert np.array_equal(got, count_pairs_1d_loop(v, X, sigma, eps)), (n, sigma, eps)
+    assert cap > 24 or hit.all()
 
 
 @pytest.mark.parametrize(

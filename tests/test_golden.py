@@ -1,9 +1,11 @@
-"""Golden corpus: simulation tables and `sigmadepth classify` outputs, byte for byte.
+"""Golden corpus: simulation tables and `sigmadepth classify`/`depth` outputs, byte for byte.
 
 Each case's expected text is committed under tests/golden/.  The cases cover
 all four scenarios, the three classifiers, exact and Monte-Carlo depth, the
-elliptical sampler, both bands, the scenario-3 unfiltered baseline and an
-empty scenario-3 test set.  A change that deliberately moves a random stream
+elliptical sampler, both bands, the scenario-3 unfiltered baseline, an
+empty scenario-3 test set, and exact CLI depth through 1-D pair counting
+(1/8-grid data with ties, queried at its own points) and through 2-D
+triangle enumeration.  A change that deliberately moves a random stream
 or the arithmetic of a path changes these files: regenerate them with
 `PYTHONPATH=src python tests/test_golden.py` and record the change in
 CHANGES.md.
@@ -77,6 +79,11 @@ SCENARIOS = {
 
 CLASSIFIERS = ("maxdepth", "dd-linear", "dd-poly")
 CLASSIFY_INPUTS = ("classify_train1.csv", "classify_train2.csv", "classify_test.csv")
+# name -> (data, query, method, sigma) for `sigmadepth depth`
+DEPTH_RUNS = {
+    "depth_1d_enlarged": ("depth1d_data.csv", "depth1d_data.csv", "simplex-enlarged", "2"),
+    "depth_2d_simplicial": ("classify_train1.csv", "classify_test.csv", "simplicial", "1"),
+}
 
 
 def scenario_json(name: str) -> str:
@@ -84,15 +91,22 @@ def scenario_json(name: str) -> str:
     return run_scenario(default_config(cfg.pop("scenario"), **cfg)).to_json()
 
 
-def classify_outputs(classifier: str, workdir: Path) -> dict:
-    """Run `sigmadepth classify` in workdir on the committed inputs.
+def cli_outputs(argv: list, inputs, out: str, workdir: Path) -> dict:
+    """Run `sigmadepth argv --out out` in workdir on committed inputs.
 
     Paths are relative, so the `.config.json` sidecar does not depend on
     where the corpus is checked out.  Returns {file name: text}.
     """
-    for name in CLASSIFY_INPUTS:
+    for name in inputs:
         shutil.copy(GOLDEN / name, workdir / name)
-    out = f"classify_{classifier}.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        assert main([*argv, "--out", out]) == 0
+    config = f"{out}.config.json"
+    return {name: (workdir / name).read_text() for name in (out, config)}
+
+
+def classify_outputs(classifier: str, workdir: Path) -> dict:
     argv = [
         "classify",
         "--train1", CLASSIFY_INPUTS[0],
@@ -102,13 +116,14 @@ def classify_outputs(classifier: str, workdir: Path) -> dict:
         "--method", "simplex-enlarged",
         "--sigma", "1.5",
         "--seed", "7",
-        "--out", out,
     ]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(workdir)
-        assert main(argv) == 0
-    config = f"{out}.config.json"
-    return {name: (workdir / name).read_text() for name in (out, config)}
+    return cli_outputs(argv, CLASSIFY_INPUTS, f"classify_{classifier}.csv", workdir)
+
+
+def depth_outputs(name: str, workdir: Path) -> dict:
+    data, query, method, sigma = DEPTH_RUNS[name]
+    argv = ["depth", "--data", data, "--query", query, "--method", method, "--sigma", sigma]
+    return cli_outputs(argv, {data, query}, f"{name}.csv", workdir)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -122,6 +137,12 @@ def test_classify_output_matches_golden(classifier, tmp_path):
         assert text == (GOLDEN / name).read_text(), name
 
 
+@pytest.mark.parametrize("name", sorted(DEPTH_RUNS))
+def test_depth_output_matches_golden(name, tmp_path):
+    for fname, text in depth_outputs(name, tmp_path).items():
+        assert text == (GOLDEN / fname).read_text(), fname
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -130,4 +151,8 @@ if __name__ == "__main__":
     for classifier in CLASSIFIERS:
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in classify_outputs(classifier, Path(tmp)).items():
+                (GOLDEN / name).write_text(text)
+    for run in DEPTH_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in depth_outputs(run, Path(tmp)).items():
                 (GOLDEN / name).write_text(text)
