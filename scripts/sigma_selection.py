@@ -28,15 +28,13 @@ def one_rep(n: int, rng) -> tuple:
     )
     truth = np.r_[np.ones(half, dtype=np.int64), np.full(half, 2, dtype=np.int64)]
     sig = smallest_covering_sigma(train1, train2, test)
+    sigmas = (sig, 2.0, 3.0, 4.0)
+    cfg = DepthConfig(method="simplex_enlarged")
+    prof1 = DepthEvaluator(train1, cfg).depth_profile(test, sigmas)
+    prof2 = DepthEvaluator(train2, cfg).depth_profile(test, sigmas)
     rates = {}
-    for sigma in (sig, 2.0, 3.0, 4.0):
-        cfg = DepthConfig(method="simplex_enlarged", sigma=float(sigma))
-        pred = max_depth_classify_batch(
-            DepthEvaluator(train1, cfg),
-            DepthEvaluator(train2, cfg),
-            test,
-            tie_seed=int(rng.integers(2**31)),
-        )
+    for sigma, v1, v2 in zip(sigmas, prof1, prof2):
+        pred = max_depth_classify_batch(v1, v2, test, tie_seed=int(rng.integers(2**31)))
         rates[float(sigma)] = float(np.mean(pred != truth))
     return sig, rates
 

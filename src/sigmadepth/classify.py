@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .depth import DepthConfig, DepthEvaluator
+from .depth import DepthConfig
 from .errors import InputError
 from .geometry import DEFAULT_EPS, GeomTolerance, as_points, convex_hull_contains_many
 
@@ -28,6 +28,7 @@ __all__ = [
     "max_depth_classify_batch",
     "fit_dd",
     "predict_dd_points",
+    "depth_rows",
     "classify_points",
     "outsider_mask",
     "misclassification_rate",
@@ -115,15 +116,17 @@ class DDModel:
             raise InputError(f"bad model JSON: {exc}") from exc
 
 
-def max_depth_classify_batch(eval1: DepthEvaluator, eval2: DepthEvaluator, X, tie_seed=0):
+def max_depth_classify_batch(v1, v2, X, tie_seed=0):
     """Assign each row of X to the class giving it larger depth; exact ties flip a coin.
 
-    The depths come from prebuilt evaluators, one per class, and each tied
+    v1 and v2 are the rows' depths in class 1 and class 2, and each tied
     point gets its own coin keyed on (tie_seed, point).
     """
     X = as_points(X)
-    v1 = eval1.depths(X)
-    v2 = eval2.depths(X)
+    v1 = np.asarray(v1, dtype=float).ravel()
+    v2 = np.asarray(v2, dtype=float).ravel()
+    if not v1.size == v2.size == len(X):
+        raise InputError("depth vectors must align with the points")
     out = np.where(v1 >= v2, 1, 2)
     for i in np.flatnonzero(v1 == v2):
         out[i] = _tie_coin(tie_seed, X[i])
@@ -252,45 +255,64 @@ def predict_dd_points(model: DDModel, d1, d2, X):
     return pred
 
 
+def depth_rows(train1, train2, test, classifier: str):
+    """Rows whose per-class depths `classify_points` needs, and the labels of its fit rows.
+
+    'maxdepth' needs the test rows only.  The DD-plot rules also fit on the
+    training rows, so they need [train1; train2; test] with labels 1, 2.
+    """
+    if classifier == "maxdepth":
+        return as_points(test), np.empty(0, dtype=np.int64)
+    labels = np.r_[
+        np.ones(len(train1), dtype=np.int64), np.full(len(train2), 2, dtype=np.int64)
+    ]
+    return np.vstack([train1, train2, test]), labels
+
+
 def classify_points(
-    ev1: DepthEvaluator,
-    ev2: DepthEvaluator,
-    train1,
-    train2,
+    depths1,
+    depths2,
+    labels,
     test,
     classifier: str,
     degree: int,
     restarts: int,
     seed,
     tie_seed,
+    depth_cfg: DepthConfig | None = None,
 ):
-    """Predicted class (1 or 2) of each test point from two class evaluators.
+    """Predicted class (1 or 2) of each test point from its depths in the two classes.
 
-    'maxdepth' applies the max-depth rule.  The DD-plot rules fit
-    'class 2 iff d2 > poly(d1)' on the training depths, with degree 1 for
-    'dd-linear' and `degree` for 'dd-poly'; `seed` seeds the fit's random
-    restarts and is unused by 'maxdepth'.  Exact ties flip coins keyed on
-    tie_seed.
+    depths1 and depths2 are the class depths of the rows that `depth_rows`
+    names: the first len(labels) rows are training points labelled 1 or 2,
+    the rest are the test points.  'maxdepth' applies the max-depth rule to
+    the test rows.  The DD-plot rules fit 'class 2 iff d2 > poly(d1)' on
+    the training rows, with degree 1 for 'dd-linear' and `degree` for
+    'dd-poly'; `seed` seeds the fit's random restarts and is unused by
+    'maxdepth', and the fitted model records `depth_cfg`.  Exact ties flip
+    coins keyed on tie_seed.
     """
     if classifier not in CLASSIFIERS:
         raise InputError(f"classifier must be one of {CLASSIFIERS}")
+    depths1 = np.asarray(depths1, dtype=float).ravel()
+    depths2 = np.asarray(depths2, dtype=float).ravel()
+    nfit = len(labels)
+    if not len(depths1) == len(depths2) == nfit + len(test):
+        raise InputError("depth vectors must cover the fit rows and the test rows")
+    test1, test2 = depths1[nfit:], depths2[nfit:]
     if classifier == "maxdepth":
-        return max_depth_classify_batch(ev1, ev2, test, tie_seed=tie_seed)
-    both = np.vstack([train1, train2])
-    labels = np.r_[
-        np.ones(len(train1), dtype=np.int64), np.full(len(train2), 2, dtype=np.int64)
-    ]
+        return max_depth_classify_batch(test1, test2, test, tie_seed=tie_seed)
     model = fit_dd(
-        ev1.depths(both),
-        ev2.depths(both),
+        depths1[:nfit],
+        depths2[:nfit],
         labels,
         degree=1 if classifier == "dd-linear" else degree,
         restarts=restarts,
         seed=seed,
-        depth_cfg=ev1.cfg,
+        depth_cfg=depth_cfg,
         tie_seed=tie_seed,
     )
-    return predict_dd_points(model, ev1.depths(test), ev2.depths(test), test)
+    return predict_dd_points(model, test1, test2, test)
 
 
 def _hull_contains_mask(train, X, tol: GeomTolerance):

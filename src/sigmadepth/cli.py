@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import CLASSIFIERS, classify_points, outsider_mask
+from .classify import CLASSIFIERS, classify_points, depth_rows, outsider_mask
 from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import DEFAULT_EPS, GeomTolerance
@@ -134,19 +134,18 @@ def _cmd_classify(args) -> int:
     train2 = read_points_csv(args.train2)
     test = read_points_csv(args.test)
     cfg = _depth_config(args)
-    ev1 = DepthEvaluator(train1, cfg)
-    ev2 = DepthEvaluator(train2, cfg)
+    rows, labels = depth_rows(train1, train2, test, args.classifier)
     pred = classify_points(
-        ev1,
-        ev2,
-        train1,
-        train2,
+        DepthEvaluator(train1, cfg).depths(rows),
+        DepthEvaluator(train2, cfg).depths(rows),
+        labels,
         test,
         args.classifier,
         degree=args.degree,
         restarts=args.restarts,
         seed=args.seed,
         tie_seed=args.seed,
+        depth_cfg=cfg,
     )
     outs = outsider_mask(train1, train2, test, GeomTolerance(eps=args.tol))
     buf = io.StringIO()

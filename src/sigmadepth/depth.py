@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -175,24 +175,24 @@ def _random_tuples(rng, n: int, r: int, m: int, chunk: int):
         remaining -= c
 
 
-def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigma: float, eps: float):
-    """Exact 1-D containment counting over all C(n,2) value pairs.
+def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
+    """Exact 1-D containment counting over all C(n,2) value pairs, per sigma.
 
     A pair (a <= b) dilated by sigma with barycentric slack eps contains x
     iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and
     t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from n binary
-    searches over the sorted values per query, O(q * n log n) in all,
-    instead of enumerating the n^2/2 pairs.  The searches run over chunks
-    of queries, each threshold buffer holding at most
-    `SimplexBatch._CHUNK_ELEMS` elements, with no per-query Python loop.
-    Pairs of exactly equal values use the degenerate point rule
-    |x - a| <= eps, matching the hull fallback of the matrix kernel.
+    searches over the sorted values per query and sigma, O(q * n log n)
+    per sigma, instead of enumerating the n^2/2 pairs.  The values are
+    sorted once for every sigma.  The searches run over chunks of queries,
+    each threshold buffer holding at most `SimplexBatch._CHUNK_ELEMS`
+    elements, with no per-query Python loop.  Pairs of exactly equal values
+    use the degenerate point rule |x - a| <= eps, matching the hull
+    fallback of the matrix kernel.  Returns (q, len(sigmas)) counts, one
+    row per query.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
     x = np.asarray(queries, dtype=float).ravel()
-    t = (1.0 - sigma) / 2.0 - eps * sigma
-    u = 1.0 - t
 
     first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
     strict_total = int(first.sum())
@@ -201,25 +201,29 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigma: float, eps: 
     tied = cnt > 1  # only repeated values form flat pairs
     tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
 
-    counts = np.empty(len(x), dtype=np.int64)
+    sigmas = [float(s) for s in np.ravel(sigmas)]
+    counts = np.empty((len(x), len(sigmas)), dtype=np.int64)
     step = max(1, SimplexBatch._CHUNK_ELEMS // n)
     for s in range(0, len(x), step):
         xq = x[s : s + step, None]
-        # fail-left: A > x, conditioned on the smaller element of the pair
-        thr_l = (xq - t * v) / u
-        fail_l = (first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum(axis=1)
-        # fail-right: B < x
-        if t < 0.0:
-            thr_r = (xq - u * v) / t
-            kept = np.minimum(np.searchsorted(v, thr_r, side="right"), first)
-            fail_r = (first - kept).sum(axis=1)
-        elif t == 0.0:
-            fail_r = np.where(v < xq, first, 0).sum(axis=1)
-        else:
-            thr_r = (xq - u * v) / t
-            fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
         flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
-        counts[s : s + step] = strict_total - fail_l - fail_r + flat_in
+        for k, sigma in enumerate(sigmas):
+            t = (1.0 - sigma) / 2.0 - eps * sigma
+            u = 1.0 - t
+            # fail-left: A > x, conditioned on the smaller element of the pair
+            thr_l = (xq - t * v) / u
+            fail_l = (first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum(axis=1)
+            # fail-right: B < x
+            if t < 0.0:
+                thr_r = (xq - u * v) / t
+                kept = np.minimum(np.searchsorted(v, thr_r, side="right"), first)
+                fail_r = (first - kept).sum(axis=1)
+            elif t == 0.0:
+                fail_r = np.where(v < xq, first, 0).sum(axis=1)
+            else:
+                thr_r = (xq - u * v) / t
+                fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
+            counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
     return counts
 
 
@@ -246,7 +250,6 @@ class DepthEvaluator:
                     f"need at least d+1 = {p} points, got {self.n}"
                 )
             self._base = data
-            self._ksig = cfg.sigma
             self._tuple_len = p
             total = math.comb(self.n, p)
         elif cfg.method == "dist_enlarged_blocks":
@@ -255,7 +258,6 @@ class DepthEvaluator:
                     f"need at least (d+1)^2 = {p * p} points, got {self.n}"
                 )
             self._base = sample_sigma_blocks(data, cfg.sigma)
-            self._ksig = 1.0
             self._tuple_len = p
             total = math.comb(len(self._base), p)
         elif cfg.method == "dist_enlarged_full":
@@ -264,12 +266,16 @@ class DepthEvaluator:
                     f"need at least (d+1)^2 = {p * p} points, got {self.n}"
                 )
             self._base = data
-            self._ksig = 1.0
             self._tuple_len = p * p
             total = math.comb(self.n, p * p) * full_pattern_count(p)
         else:  # pragma: no cover - DepthConfig already validates
             raise InputError(f"unknown method {cfg.method!r}")
 
+        self._data = data
+        # The simplex methods dilate the simplices by sigma, so the kernel
+        # serves every sigma at once; the distribution methods move the
+        # points with sigma instead.
+        self._dilates = cfg.method in ("simplicial", "simplex_enlarged")
         self.exact = cfg.budget is None
         self.n_simplices = total if self.exact else int(cfg.budget)
 
@@ -293,9 +299,7 @@ class DepthEvaluator:
                 self._batch = self._build_mc_batch()
         elif self._strategy == "enum" and total <= _PRECOMP_MAX:
             self._batch = SimplexBatch(
-                np.concatenate(list(self._iter_enum_verts())),
-                eps=cfg.tol.eps,
-                sigma=self._ksig,
+                np.concatenate(list(self._iter_enum_verts())), eps=cfg.tol.eps
             )
 
     # -- vertex materialization ------------------------------------------
@@ -330,7 +334,7 @@ class DepthEvaluator:
 
     def _build_mc_batch(self) -> SimplexBatch:
         verts = np.concatenate(list(self._iter_mc_verts()))
-        return SimplexBatch(verts, eps=self.cfg.tol.eps, sigma=self._ksig)
+        return SimplexBatch(verts, eps=self.cfg.tol.eps)
 
     def _iter_mc_verts(self):
         rng = np.random.default_rng(self.cfg.seed)
@@ -345,33 +349,57 @@ class DepthEvaluator:
 
     # -- evaluation -------------------------------------------------------
 
+    def depth_profile(self, X, sigmas) -> np.ndarray:
+        """(len(sigmas), q) depths of the rows of X, one row per sigma.
+
+        For 'simplicial' and 'simplex_enlarged' every sigma dilates the same
+        simplices (the same Monte-Carlo tuples too), so one kernel pass or
+        one 1-D count serves the whole grid.  The distribution methods move
+        their points with sigma and evaluate one sigma at a time, each with
+        this evaluator's config at that sigma.  Each row equals the depths
+        of an evaluator built at that sigma with the same seed.
+        """
+        return self._counts(X, sigmas) / self.n_simplices
+
     def contain_counts(self, X) -> np.ndarray:
-        """Number of evaluated simplices containing each row of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise InputError(f"query dim {X.shape[1]} != data dim {self.d}")
-        if not np.all(np.isfinite(X)):
-            raise InputError("query points must be finite")
-
-        if self._strategy == "count1d":
-            return _count_pairs_1d(
-                self._base[:, 0], X[:, 0], self._ksig, self.cfg.tol.eps
-            )
-        if self._batch is not None:
-            return self._batch.contains_counts(X)
-
-        counts = np.zeros(len(X), dtype=np.int64)
-        chunks = self._iter_mc_verts() if self._strategy == "mc" else self._iter_enum_verts()
-        for verts in chunks:
-            counts += SimplexBatch(
-                verts, eps=self.cfg.tol.eps, sigma=self._ksig
-            ).contains_counts(X)
-        return counts
+        """Number of evaluated simplices containing each row of X, at cfg.sigma."""
+        return self._counts(X, [self.cfg.sigma])[0]
 
     def depths(self, X) -> np.ndarray:
         # Counts and totals below 2^53 are exact doubles, so this rounds the
         # exact quotient just as Python's int / int does.
         return self.contain_counts(X) / self.n_simplices
+
+    def _counts(self, X, sigmas) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.d:
+            raise InputError(f"query dim {X.shape[1]} != data dim {self.d}")
+        if not np.all(np.isfinite(X)):
+            raise InputError("query points must be finite")
+        # replace() validates each sigma for the method
+        cfgs = [replace(self.cfg, sigma=float(s)) for s in np.ravel(sigmas)]
+        if not cfgs:
+            raise InputError("need at least one sigma")
+        if self._dilates:
+            return self._kernel_counts(X, [c.sigma for c in cfgs])
+        rows = []
+        for c in cfgs:
+            ev = self if c == self.cfg else DepthEvaluator(self._data, c)
+            rows.append(ev._kernel_counts(X, [1.0])[0])
+        return np.stack(rows)
+
+    def _kernel_counts(self, X, sigmas) -> np.ndarray:
+        """(len(sigmas), q) counts with the simplices dilated by each sigma."""
+        if self._strategy == "count1d":
+            return _count_pairs_1d(self._base[:, 0], X[:, 0], sigmas, self.cfg.tol.eps).T
+        if self._batch is not None:
+            return self._batch.contains_counts(X, sigmas)
+
+        counts = np.zeros((len(sigmas), len(X)), dtype=np.int64)
+        chunks = self._iter_mc_verts() if self._strategy == "mc" else self._iter_enum_verts()
+        for verts in chunks:
+            counts += SimplexBatch(verts, eps=self.cfg.tol.eps).contains_counts(X, sigmas)
+        return counts
 
     def depth_value(self, x) -> DepthValue:
         x = as_point(x)

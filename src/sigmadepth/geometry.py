@@ -278,26 +278,30 @@ def simplex_contains(simplex, x, tol: GeomTolerance = GeomTolerance()) -> bool:
     if x.size != v.shape[1]:
         raise InputError(f"point dim {x.size} != simplex dim {v.shape[1]}")
     batch = SimplexBatch(v[None], eps=tol.eps)
-    return bool(batch.contains_counts(x[None])[0])
+    return bool(batch.contains_counts(x[None], [1.0])[0, 0])
 
 
 class SimplexBatch:
-    """Containment counting against a fixed stack of simplices.
+    """Containment counting against a fixed stack of simplices, for a sigma grid.
 
-    Precomputes the det-scaled barycentric affine maps once, then counts
-    containments for many query points.  The per-simplex decision is: all
-    d+1 barycentric coordinates >= t(sigma) where t(sigma) = (1-sigma)/(d+1)
-    - eps*sigma, which is exactly closed membership (with slack eps) in the
-    simplex dilated by sigma about its centroid, without touching the
-    vertices.  sigma=1 gives the plain closed-simplex test.  Degenerate
-    members are decided by hull fallback on the dilated vertex set.
+    Precomputes the det-scaled barycentric affine maps once, sign-corrected
+    so that det > 0, together with |det|; sigma never enters them.  The
+    per-simplex decision at dilation sigma is: all d+1 barycentric
+    coordinates >= t(sigma) where t(sigma) = (1-sigma)/(d+1) - eps*sigma,
+    which is exactly closed membership (with slack eps) in the simplex
+    dilated by sigma about its centroid, without touching the vertices.
+    sigma=1 gives the plain closed-simplex test.  Degenerate members keep
+    their undilated vertex sets and are decided by hull fallback on the set
+    dilated by each sigma.
 
     The kernel streams over the d+1 barycentric rows: for a chunk of
     queries against a chunk of simplices it accumulates one row's values
-    in a (q_chunk, m_chunk) float buffer, compares them with the threshold
-    and ANDs the result into a boolean buffer, then counts the survivors.
-    Every buffer holds at most _CHUNK_ELEMS elements, so memory does not
-    grow with the number of queries, simplices or the dimension.
+    in a (q_chunk, m_chunk) float buffer and keeps their running minimum.
+    Only the threshold t(sigma)*|det| depends on sigma, and "min >= thr" is
+    exactly "all >= thr" for finite floats, so one pass compares the
+    minimum with every sigma's threshold and counts the survivors.  Every
+    buffer holds at most _CHUNK_ELEMS elements, so memory does not grow
+    with the number of queries, simplices, sigmas or the dimension.
 
     The t(sigma) threshold is monotone in sigma even in float arithmetic
     (products and sums of monotone terms), so containment indicators never
@@ -308,60 +312,64 @@ class SimplexBatch:
     # per float buffer, so the kernel's working set stays in a 2 MiB L2 cache.
     _CHUNK_ELEMS = 2**16
 
-    def __init__(self, verts: np.ndarray, eps: float = DEFAULT_EPS, sigma: float = 1.0):
+    def __init__(self, verts: np.ndarray, eps: float = DEFAULT_EPS):
         verts = np.asarray(verts, dtype=float)
         self.m, k, self.d = verts.shape
         self.eps = float(eps)
-        self.sigma = float(sigma)
         const, lin, det, scale = bary_affine_parts(verts)
         degenerate = np.abs(det) <= PIVOT_RTOL * scale
         good = ~degenerate
         sign = np.where(det < 0, -1.0, 1.0)
-        t = (1.0 - self.sigma) / k - self.eps * self.sigma
         # Decision ingredients for the nonsingular members only, laid out as
         # const (d+1, m) and lin (d+1, d, m) so each kernel pass reads rows.
         self._const = np.ascontiguousarray((const[good] * sign[good, None]).T)
         self._lin = np.ascontiguousarray((lin[good] * sign[good, None, None]).transpose(1, 2, 0))
-        self._thr = t * np.abs(det[good])
-        self._degenerate_verts = enlarge_batch(verts[degenerate], self.sigma)
+        self._absdet = np.abs(det[good])
+        self._degenerate_verts = verts[degenerate]
 
     @property
     def n_degenerate(self) -> int:
         return len(self._degenerate_verts)
 
-    def contains_counts(self, X: np.ndarray) -> np.ndarray:
-        """Number of member simplices containing each query row of X (q, d)."""
+    def contains_counts(self, X: np.ndarray, sigmas) -> np.ndarray:
+        """(len(sigmas), q) counts: member simplices whose sigma-dilation contains each row of X (q, d)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
+        sigmas = np.asarray(sigmas, dtype=float).ravel()
         q = X.shape[0]
-        counts = np.zeros(q, dtype=np.int64)
+        counts = np.zeros((len(sigmas), q), dtype=np.int64)
+        t = (1.0 - sigmas) / (self.d + 1) - self.eps * sigmas
 
-        mg = len(self._thr)
+        mg = len(self._absdet)
         if mg:
             m_chunk = min(mg, self._CHUNK_ELEMS)
             q_chunk = max(1, self._CHUNK_ELEMS // m_chunk)
             shape = (min(q, q_chunk), m_chunk)
-            bufs = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool) for _ in range(2)]
+            bufs = [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=bool)]
             for ms in range(0, mg, m_chunk):
                 lin = self._lin[:, :, ms : ms + m_chunk]
                 const = self._const[:, ms : ms + m_chunk]
-                thr = self._thr[ms : ms + m_chunk]
+                thr = t[:, None] * self._absdet[ms : ms + m_chunk]
                 for qs in range(0, q, q_chunk):
                     Xc = X[qs : qs + q_chunk, :, None]
-                    val, odd, term, hit, ok = (b[: len(Xc), : len(thr)] for b in bufs)
-                    for i in range(self.d + 1):
+                    low, val, odd, term, hit = (b[: len(Xc), : thr.shape[1]] for b in bufs)
+                    _dot_into(Xc, lin[0], low, odd, term)
+                    low += const[0]
+                    for i in range(1, self.d + 1):
                         _dot_into(Xc, lin[i], val, odd, term)
                         val += const[i]
-                        np.greater_equal(val, thr, out=hit if i else ok)
-                        if i:
-                            ok &= hit
-                    counts[qs : qs + q_chunk] += np.count_nonzero(ok, axis=1)
+                        np.minimum(low, val, out=low)
+                    for k, thr_k in enumerate(thr):
+                        np.greater_equal(low, thr_k, out=hit)
+                        # summing bytes into int32 is about twice as fast as count_nonzero(axis=1)
+                        counts[k, qs : qs + q_chunk] += hit.view(np.uint8).sum(axis=1, dtype=np.int32)
 
         deg_chunk = max(1, self._CHUNK_ELEMS // max(q * self.d, 1))
         for ms in range(0, self.n_degenerate, deg_chunk):
             dv = self._degenerate_verts[ms : ms + deg_chunk]
-            counts += _hulls_contain(dv, X, self.eps).sum(axis=0)
+            for k, sigma in enumerate(sigmas):
+                counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, self.eps).sum(axis=0)
         return counts
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from .classify import (
     CLASSIFIERS,
     classify_points,
+    depth_rows,
     misclassification_rate,
     outsider_mask,
 )
@@ -530,9 +531,14 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
 
     For each rep and sweep point (the delta grid of scenarios 2 and 3, a
     single point otherwise) the scenario's data function draws from that
-    point's generator.  Each arm, one per sigma plus scenario 3's unfiltered
-    baseline at sigma 1, then builds two evaluators and classifies the test
-    set.  An empty test set records NaN rates.
+    point's generator.  The arms are one per sigma plus scenario 3's
+    unfiltered baseline at sigma 1, which classifies against the raw
+    training draws.  Each arm draws its depth, tie and fit seeds in turn.
+    Per training set, one evaluator per class, built with the seeds of the
+    set's first arm, gives the depths at all the set's sigmas in one
+    `depth_profile` call, so the sigma arms share their Monte-Carlo tuples
+    (common random numbers).  Each arm then classifies the test set from
+    its row of the profiles.  An empty test set records NaN rates.
     """
     sweep = cfg.delta_grid if cfg.scenario in (2, 3) else (None,)
     baseline = cfg.scenario == 3 and cfg.include_unfiltered_baseline
@@ -550,30 +556,42 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
                     for col in acc[(k, delta)]:
                         col.append(float("nan"))
                 continue
-            omask = outsider_mask(train1, train2, test)
-            arms = [(s, s, train1, train2, omask) for s in cfg.sigma_grid]
+            # (training sets, [(key, sigma) per arm]), in the order the arms draw seeds
+            sets = [((train1, train2), [(s, s) for s in cfg.sigma_grid])]
             if baseline:
-                arms.append(("baseline", 1.0, *raw, outsider_mask(*raw, test)))
-            for key, sigma, t1, t2, mask in arms:
-                ev1 = DepthEvaluator(t1, _depth_cfg(cfg, sigma, rng))
-                ev2 = DepthEvaluator(t2, _depth_cfg(cfg, sigma, rng))
-                # tie seed first, then the DD fit seed: the tables' random streams
-                tie_seed = int(rng.integers(2**31))
-                seed = None if cfg.classifier == "maxdepth" else int(rng.integers(2**31))
-                pred = classify_points(
-                    ev1,
-                    ev2,
-                    t1,
-                    t2,
-                    test,
-                    cfg.classifier,
-                    degree=cfg.degree,
-                    restarts=8,
-                    seed=seed,
-                    tie_seed=tie_seed,
-                )
-                for col, rate in zip(acc[(key, delta)], _rates(pred, truth, mask)):
-                    col.append(rate)
+                sets.append((raw, [("baseline", 1.0)]))
+            for (t1, t2), arms in sets:
+                mask = outsider_mask(t1, t2, test)
+                # per arm: class 1 and class 2 depth configs, then the tie
+                # seed, then the DD fit seed: the tables' random streams
+                seeds = [
+                    (
+                        _depth_cfg(cfg, sigma, rng),
+                        _depth_cfg(cfg, sigma, rng),
+                        int(rng.integers(2**31)),
+                        None if cfg.classifier == "maxdepth" else int(rng.integers(2**31)),
+                    )
+                    for _, sigma in arms
+                ]
+                points, labels = depth_rows(t1, t2, test, cfg.classifier)
+                sigmas = [sigma for _, sigma in arms]
+                prof1 = DepthEvaluator(t1, seeds[0][0]).depth_profile(points, sigmas)
+                prof2 = DepthEvaluator(t2, seeds[0][1]).depth_profile(points, sigmas)
+                for (key, _), (cfg1, _, tie_seed, seed), d1, d2 in zip(arms, seeds, prof1, prof2):
+                    pred = classify_points(
+                        d1,
+                        d2,
+                        labels,
+                        test,
+                        cfg.classifier,
+                        degree=cfg.degree,
+                        restarts=8,
+                        seed=seed,
+                        tie_seed=tie_seed,
+                        depth_cfg=cfg1,
+                    )
+                    for col, rate in zip(acc[(key, delta)], _rates(pred, truth, mask)):
+                        col.append(rate)
     # Only scenario 4 may leave the setting empty.
     setting = cfg.setting or "uniform_quartet"
     rows = []
@@ -600,7 +618,9 @@ def smallest_covering_sigma(
     """Smallest sigma giving every query positive depth for some class.
 
     Uses that positive depth is monotone in sigma for the simplex-dilated
-    method: doubling finds a bracket, bisection refines it.  This is the
+    method: doubling finds a bracket, bisection refines it.  One evaluator
+    per class, built once, answers every probe through `depth_profile`,
+    with the same values as fresh evaluators at each sigma.  This is the
     practical sigma-selection rule suggested by the interval-support
     analysis: just large enough that no query is a double outsider.
     """
@@ -609,10 +629,12 @@ def smallest_covering_sigma(
     train2 = as_points(train2)
     X = as_points(X)
 
+    ev1 = DepthEvaluator(train1, base)
+    ev2 = DepthEvaluator(train2, base)
+
     def covered(sig: float) -> bool:
-        c = replace(base, sigma=float(sig))
-        v1 = DepthEvaluator(train1, c).depths(X)
-        v2 = DepthEvaluator(train2, c).depths(X)
+        v1 = ev1.depth_profile(X, [sig])[0]
+        v2 = ev2.depth_profile(X, [sig])[0]
         return bool(np.maximum(v1, v2).min() > 0.0)
 
     if covered(lo):

@@ -76,7 +76,7 @@ def naive_full_depth(data, x, sigma: float, tol: GeomTolerance = GeomTolerance()
         group_sums = tpts[:, p:, :].reshape(len(idx), p, p - 1, d).sum(axis=2)
         verts = sigma * lead + w * (lead + group_sums)
         count += int(
-            SimplexBatch(verts, eps=tol.eps).contains_counts(x[None])[0]
+            SimplexBatch(verts, eps=tol.eps).contains_counts(x[None], [1.0])[0, 0]
         )
     return OracleReport(count / total, "enumeration", total)
 
@@ -187,3 +187,36 @@ def count_pairs_1d_loop(values: np.ndarray, queries: np.ndarray, sigma: float, e
         flat_in = int(flat_group[np.abs(vals_u - xq) <= eps].sum())
         counts[qi] = strict_total - fail_l - fail_r + flat_in
     return counts
+
+
+def smallest_covering_sigma_rebuild(train1, train2, X, cfg, lo=1.0, hi_cap=64.0, tol=1e-3):
+    """Doubling and bisection for the smallest covering sigma, two fresh evaluators per probe.
+
+    This is how `sigmadepth.sim.smallest_covering_sigma` probed each sigma
+    before it reused one evaluator per class, kept as the reference for an
+    unchanged return value.
+    """
+    from dataclasses import replace
+
+    from sigmadepth.depth import DepthEvaluator
+
+    def covered(sig):
+        c = replace(cfg, sigma=float(sig))
+        v1 = DepthEvaluator(train1, c).depths(X)
+        v2 = DepthEvaluator(train2, c).depths(X)
+        return bool(np.maximum(v1, v2).min() > 0.0)
+
+    if covered(lo):
+        return lo
+    hi = max(2.0 * lo, 2.0)
+    while not covered(hi):
+        hi *= 2.0
+        if hi > hi_cap:
+            raise InputError(f"no covering sigma found up to {hi_cap}")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if covered(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -6,6 +6,7 @@ import pytest
 from sigmadepth.classify import (
     DDModel,
     classify_points,
+    depth_rows,
     fit_dd,
     max_depth_classify_batch,
     misclassification_rate,
@@ -27,29 +28,32 @@ def rule_loss(slope, d1, d2, labels):
     return float(wrong.mean())
 
 
-def interval_evaluators(cfg):
-    """Evaluators for the training intervals [0, 1] (class 1) and [10, 11] (class 2)."""
-    return DepthEvaluator([[0.0], [1.0]], cfg), DepthEvaluator([[10.0], [11.0]], cfg)
+def interval_depths(cfg, X):
+    """Depths of X in the training intervals [0, 1] (class 1) and [10, 11] (class 2)."""
+    return (
+        DepthEvaluator([[0.0], [1.0]], cfg).depths(X),
+        DepthEvaluator([[10.0], [11.0]], cfg).depths(X),
+    )
 
 
 def test_max_depth_separated_intervals():
-    ev1, ev2 = interval_evaluators(CFG)
-    assert max_depth_classify_batch(ev1, ev2, [[0.5], [10.5]]).tolist() == [1, 2]
+    X = [[0.5], [10.5]]
+    assert max_depth_classify_batch(*interval_depths(CFG, X), X).tolist() == [1, 2]
 
 
 def test_max_depth_midpoint_needs_enough_dilation():
     """Halfway between the intervals: sigma decides reach, then ties coin."""
     # sigma 10: [0,1] stretches to [-4.5, 5.5] and covers 5, [10,11] does not
-    ten = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=10.0))
+    ten = interval_depths(DepthConfig(method="simplex_enlarged", sigma=10.0), [[5.0]])
     assert max_depth_classify_batch(*ten, [[5.0]])[0] == 1
     # sigma 12: both dilations cover 5, so the call resolves a (1, 1) tie
-    twelve = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=12.0))
+    twelve = interval_depths(DepthConfig(method="simplex_enlarged", sigma=12.0), [[5.0]])
     got = {int(max_depth_classify_batch(*twelve, [[5.0]], tie_seed=s)[0]) for s in range(8)}
     assert got <= {1, 2} and len(got) == 2
 
 
 def test_tie_coin_is_roughly_fair_across_seeds():
-    twelve = interval_evaluators(DepthConfig(method="simplex_enlarged", sigma=12.0))
+    twelve = interval_depths(DepthConfig(method="simplex_enlarged", sigma=12.0), [[5.0]])
     hits = sum(
         max_depth_classify_batch(*twelve, [[5.0]], tie_seed=s)[0] == 1
         for s in range(10_000)
@@ -65,8 +69,11 @@ def test_batch_matches_scalar_rule():
     X = rng.standard_normal((15, 2)) + 0.7
     ev1 = DepthEvaluator(train1, CFG)
     ev2 = DepthEvaluator(train2, CFG)
-    batch = max_depth_classify_batch(ev1, ev2, X, tie_seed=4)
-    rows = [max_depth_classify_batch(ev1, ev2, x[None], tie_seed=4)[0] for x in X]
+    batch = max_depth_classify_batch(ev1.depths(X), ev2.depths(X), X, tie_seed=4)
+    rows = [
+        max_depth_classify_batch(ev1.depths(x[None]), ev2.depths(x[None]), x[None], tie_seed=4)[0]
+        for x in X
+    ]
     assert np.array_equal(batch, rows)
 
 
@@ -77,21 +84,25 @@ def test_classify_points_applies_the_named_rule():
     X = rng.standard_normal((15, 2)) + 0.7
     ev1 = DepthEvaluator(train1, CFG)
     ev2 = DepthEvaluator(train2, CFG)
-    args = (ev1, ev2, train1, train2, X)
-    kw = dict(degree=3, restarts=2, seed=5, tie_seed=4)
+    kw = dict(degree=3, restarts=2, seed=5, tie_seed=4, depth_cfg=CFG)
+
+    def args(classifier):
+        rows, labels = depth_rows(train1, train2, X, classifier)
+        return ev1.depths(rows), ev2.depths(rows), labels, X, classifier
+
     assert np.array_equal(
-        classify_points(*args, "maxdepth", **kw),
-        max_depth_classify_batch(ev1, ev2, X, tie_seed=4),
+        classify_points(*args("maxdepth"), **kw),
+        max_depth_classify_batch(ev1.depths(X), ev2.depths(X), X, tie_seed=4),
     )
     labels = np.repeat([1, 2], 20)
     both = np.vstack([train1, train2])
     model = fit_dd(ev1.depths(both), ev2.depths(both), labels, degree=1, tie_seed=4)
     assert np.array_equal(
-        classify_points(*args, "dd-linear", **kw),
+        classify_points(*args("dd-linear"), **kw),
         predict_dd_points(model, ev1.depths(X), ev2.depths(X), X),
     )
     with pytest.raises(InputError):
-        classify_points(*args, "svm", **kw)
+        classify_points(*args("dd-linear")[:4], "svm", **kw)
 
 
 def test_linear_fit_attains_bruteforce_optimum():

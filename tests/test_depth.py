@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import count_pairs_1d_loop
 
+from sigmadepth import depth as depth_module
 from sigmadepth.depth import (
     DepthConfig,
     DepthEvaluator,
@@ -132,6 +135,99 @@ def test_monte_carlo_deterministic():
     assert np.array_equal(a, b)
 
 
+PROFILE_KINDS = ("grid", "decimal", "gaussian")
+# Unsorted, with a repeat and a shrinking factor below 1.
+PROFILE_SIGMAS = (3.0, 1.0, 1.5, 1.0, 0.5, 5.0, 1.2)
+
+
+def _profile_corpus(kind, d):
+    """Data and queries: data points, midpoints of consecutive points, far points.
+
+    The 1/8-grid data put points on common lines or planes, and in 2-D
+    repeat a point, so for d >= 2 some simplices are degenerate; the
+    decimal data sit at 1e4.
+    """
+    rng = np.random.default_rng([d, PROFILE_KINDS.index(kind)])
+    n = {1: 24, 2: 12, 3: 9}[d]
+    if kind == "grid":
+        P = rng.integers(0, 9, (n, d)) / 8
+        if d == 2:
+            P[1] = P[0]
+    elif kind == "decimal":
+        P = np.round(1e4 + 0.05 * rng.standard_normal((n, d)), 2)
+    else:
+        P = rng.standard_normal((n, d))
+    far = P[:2] + 10.0 * (P.max(axis=0) - P.min(axis=0) + 1.0)
+    return P, np.vstack([P, (P[:-1] + P[1:]) / 2, far])
+
+
+@lru_cache(maxsize=None)
+def _per_sigma_counts(d, kind, budget):
+    """Counts of one fresh evaluator per sigma, seed 5, at the default kernel settings."""
+    P, X = _profile_corpus(kind, d)
+    cfg = DepthConfig(method="simplex_enlarged", budget=budget, seed=5)
+    if kind == "grid" and d > 1:
+        assert DepthEvaluator(P, cfg)._batch.n_degenerate > 0
+    return np.stack([DepthEvaluator(P, replace(cfg, sigma=s)).contain_counts(X) for s in PROFILE_SIGMAS])
+
+
+@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("path", ["exact", "streamed", "mc", "mc-streamed"])
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_depth_profile_matches_per_sigma_evaluators(d, kind, path, cap, monkeypatch):
+    """One profile call gives the counts of one fresh evaluator per sigma, same seed.
+
+    The per-sigma evaluators run at the default kernel cap with a
+    precomputed batch; the profile runs with the cap under test and, on the
+    streamed paths, with enumeration or tuples streamed in several chunks.
+    """
+    P, X = _profile_corpus(kind, d)
+    budget = None if path in ("exact", "streamed") else 150
+    cfg = DepthConfig(method="simplex_enlarged", budget=budget, seed=5)
+    want = _per_sigma_counts(d, kind, budget)
+    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    if "streamed" in path:
+        monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+        monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
+    ev = DepthEvaluator(P, cfg)
+    if ev._strategy != "count1d":
+        assert (ev._batch is None) == ("streamed" in path)
+    # n_simplices < 2^53, so equal quotients mean equal counts
+    assert np.array_equal(ev.depth_profile(X, PROFILE_SIGMAS), want / ev.n_simplices)
+
+
+@pytest.mark.parametrize("method, budget", [("dist_enlarged_blocks", None), ("dist_enlarged_full", 300)])
+def test_depth_profile_moves_points_per_sigma(method, budget):
+    """The distribution methods give each sigma its own evaluator's depths."""
+    rng = np.random.default_rng(17)
+    P = rng.standard_normal((18, 2))
+    X = rng.standard_normal((10, 2))
+    cfg = DepthConfig(method=method, sigma=2.0, budget=budget, seed=9)
+    want = np.stack([DepthEvaluator(P, replace(cfg, sigma=s)).depths(X) for s in PROFILE_SIGMAS])
+    assert np.array_equal(DepthEvaluator(P, cfg).depth_profile(X, PROFILE_SIGMAS), want)
+
+
+@pytest.mark.parametrize("budget", [None, 150])
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_depth_profile_never_decreases_in_sigma(d, kind, budget):
+    """Along a sorted sigma grid the counts of every query never drop."""
+    P, X = _profile_corpus(kind, d)
+    cfg = DepthConfig(method="simplex_enlarged", budget=budget, seed=5)
+    grid = sorted({*PROFILE_SIGMAS, 1.0 + 2**-40, 40.0})
+    counts = DepthEvaluator(P, cfg).depth_profile(X, grid)
+    assert (np.diff(counts, axis=0) >= 0).all()
+
+
+def test_depth_profile_rejects_bad_sigmas():
+    ev = DepthEvaluator(np.eye(3)[:, :2], DepthConfig())
+    for sigmas in ([], [0.0], [float("nan")], [2.0]):  # 'simplicial' allows sigma 1 only
+        with pytest.raises(InputError):
+            ev.depth_profile(np.zeros((1, 2)), sigmas)
+    assert ev.depth_profile(np.zeros((1, 2)), [1.0]).shape == (1, 1)
+
+
 def test_streaming_enumeration_matches_direct_batch():
     """n large enough that the exact enumeration is streamed, not cached."""
     rng = np.random.default_rng(21)
@@ -146,7 +242,7 @@ def test_streaming_enumeration_matches_direct_batch():
     combos = np.array(list(itertools.combinations(range(n), 3)))
     for s in range(0, len(combos), 100_000):
         verts = data[combos[s : s + 100_000]]
-        counts += SimplexBatch(verts, sigma=2.0).contains_counts(X)
+        counts += SimplexBatch(verts).contains_counts(X, [2.0])[0]
     assert np.array_equal(ev.contain_counts(X), counts)
 
 
@@ -169,7 +265,7 @@ def test_one_dim_counting_matches_pair_batch(seed):
         cfg = DepthConfig(method="simplex_enlarged", sigma=sigma, tol=GeomTolerance(eps=eps))
         ev = DepthEvaluator(data, cfg)
         assert ev._strategy == "count1d"
-        brute = SimplexBatch(data[pairs], eps=eps, sigma=sigma).contains_counts(X)
+        brute = SimplexBatch(data[pairs], eps=eps).contains_counts(X, [sigma])[0]
         assert np.array_equal(ev.contain_counts(X), brute)
 
 
@@ -220,7 +316,7 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
                 X = _pair_count_queries(v, sigma, eps)
                 step = max(1, cap // n)
                 hit |= [step == 1, len(X) % step > 0, n > cap]
-                got = _count_pairs_1d(v, X, sigma, eps)
+                got = _count_pairs_1d(v, X, [sigma], eps)[:, 0]
                 assert np.array_equal(got, count_pairs_1d_loop(v, X, sigma, eps)), (n, sigma, eps)
     assert cap > 24 or hit.all()
 
@@ -250,7 +346,7 @@ def test_blocks_method_reduces_to_combined_points():
     assert ev.n_simplices == math.comb(len(combined), 3)
     X = rng.standard_normal((6, 2))
     combos = np.array(list(itertools.combinations(range(len(combined)), 3)))
-    manual = SimplexBatch(combined[combos]).contains_counts(X)
+    manual = SimplexBatch(combined[combos]).contains_counts(X, [1.0])[0]
     assert np.array_equal(ev.contain_counts(X), manual)
 
 

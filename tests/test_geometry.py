@@ -89,9 +89,9 @@ def test_batch_sigma_equals_pre_enlarged():
     verts = rng.standard_normal((50, 3, 2))
     X = rng.standard_normal((40, 2))
     for sigma in (1.0, 1.7, 4.0):
-        thresholded = SimplexBatch(verts, sigma=sigma).contains_counts(X)
+        thresholded = SimplexBatch(verts).contains_counts(X, [sigma])
         dilated = np.stack([enlarge_simplex(v, sigma) for v in verts])
-        explicit = SimplexBatch(dilated).contains_counts(X)
+        explicit = SimplexBatch(dilated).contains_counts(X, [1.0])
         assert np.array_equal(thresholded, explicit)
 
 
@@ -101,7 +101,7 @@ def test_batch_counts_match_single_membership(seed, d):
     rng = np.random.default_rng(seed)
     verts = rng.standard_normal((8, d + 1, d))
     X = rng.standard_normal((6, d))
-    counts = SimplexBatch(verts).contains_counts(X)
+    counts = SimplexBatch(verts).contains_counts(X, [1.0])[0]
     manual = np.array(
         [sum(simplex_contains(v, x) for v in verts) for x in X]
     )
@@ -116,7 +116,7 @@ def test_containment_monotone_in_sigma(seed):
     verts = rng.standard_normal((12, 3, 2))
     X = rng.standard_normal((10, 2))
     grid = [1.0, 1.3, 2.0, 3.5, 6.0]
-    counts = [SimplexBatch(verts, sigma=s).contains_counts(X) for s in grid]
+    counts = [SimplexBatch(verts).contains_counts(X, [s])[0] for s in grid]
     for a, b in zip(counts, counts[1:]):
         assert (b >= a).all()
 
@@ -124,17 +124,17 @@ def test_containment_monotone_in_sigma(seed):
 def test_degenerate_simplex_point_rule():
     # all vertices identical: containment degenerates to a point test
     verts = np.zeros((1, 3, 2))
-    batch = SimplexBatch(verts, sigma=5.0)
-    assert batch.contains_counts(np.array([[0.0, 0.0]]))[0] == 1
-    assert batch.contains_counts(np.array([[0.5, 0.0]]))[0] == 0
+    batch = SimplexBatch(verts)
+    assert batch.contains_counts(np.array([[0.0, 0.0]]), [5.0])[0, 0] == 1
+    assert batch.contains_counts(np.array([[0.5, 0.0]]), [5.0])[0, 0] == 0
 
 
 def test_degenerate_flat_simplex_falls_back_to_hull():
     # collinear triangle: zero area, but the segment still contains points
     verts = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
     batch = SimplexBatch(verts)
-    assert batch.contains_counts(np.array([[1.5, 1.5]]))[0] == 1
-    assert batch.contains_counts(np.array([[1.5, 1.6]]))[0] == 0
+    assert batch.contains_counts(np.array([[1.5, 1.5]]), [1.0])[0, 0] == 1
+    assert batch.contains_counts(np.array([[1.5, 1.6]]), [1.0])[0, 0] == 0
 
 
 def _flat_grid_sets(d, seed):
@@ -190,9 +190,9 @@ def test_far_queries_skip_the_hull_lp(monkeypatch):
     calls = _count_lp_calls(monkeypatch)
     batch = SimplexBatch(np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]]))
     far = np.array([[5.0, -5.0], [10.0, 10.0], [-3.0, 4.0], [1.0, 1.5]])
-    assert batch.contains_counts(far).tolist() == [0, 0, 0, 0]
+    assert batch.contains_counts(far, [1.0]).tolist() == [[0, 0, 0, 0]]
     assert len(calls) == 0
-    assert batch.contains_counts(np.array([[1.5, 1.5]])).tolist() == [1]
+    assert batch.contains_counts(np.array([[1.5, 1.5]]), [1.0]).tolist() == [[1]]
     assert len(calls) == 1
 
 
@@ -205,7 +205,7 @@ def test_translated_triangles_stay_nondegenerate(shift):
     combos = np.array(list(itertools.combinations(range(12), 3)))
     batch = SimplexBatch(data[combos] + shift)
     assert batch.n_degenerate == 0
-    assert batch.contains_counts(X + shift).tolist() == [0, 18, 68, 24, 46, 50]
+    assert batch.contains_counts(X + shift, [1.0]).tolist() == [[0, 18, 68, 24, 46, 50]]
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -228,12 +228,12 @@ def test_rounded_collinear_triples_are_degenerate(mag, sigma):
         (ax, ay), (bx, by), (cx, cy) = exact[i], exact[j], exact[l]
         return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0
 
-    batch = SimplexBatch(P[combos], sigma=sigma)
+    batch = SimplexBatch(P[combos])
     assert batch.n_degenerate == sum(flat(*c) for c in combos) >= 10
     shift = np.array([mag, 2 * mag])
     hulls = enlarge_batch(P[combos] - shift, sigma)
     want = [sum(convex_hull_contains(v, x) for v in hulls) for x in P - shift]
-    assert batch.contains_counts(P).tolist() == want
+    assert batch.contains_counts(P, [sigma]).tolist() == [want]
 
 
 def test_hull_lp_accepts_own_vertex_far_from_origin():
@@ -253,13 +253,15 @@ def test_hull_lp_vertex_sweep_at_magnitude_1e4():
             assert all(convex_hull_contains(V, v) for v in V)
 
 
-def _einsum_counts(batch, X):
+def _einsum_counts(batch, X, sigma):
     """Counts by the former (q, m, d+1) einsum kernel on the batch's own maps."""
     lin = np.ascontiguousarray(batch._lin.transpose(2, 0, 1))
     val = np.einsum("mkd,qd->qmk", lin, X)
     val += np.ascontiguousarray(batch._const.T)
-    counts = (val >= batch._thr[:, None]).all(axis=2).sum(axis=1)
-    return counts + geometry._hulls_contain(batch._degenerate_verts, X, batch.eps).sum(axis=0)
+    thr = ((1.0 - sigma) / (batch.d + 1) - batch.eps * sigma) * batch._absdet
+    counts = (val >= thr[:, None]).all(axis=2).sum(axis=1)
+    hulls = enlarge_batch(batch._degenerate_verts, sigma)
+    return counts + geometry._hulls_contain(hulls, X, batch.eps).sum(axis=0)
 
 
 def _parity_data(kind, d, rng):
@@ -271,14 +273,17 @@ def _parity_data(kind, d, rng):
     return rng.standard_normal((n, d))
 
 
-def _parity_cases(kind, d):
+def _parity_case(kind, d):
     rng = np.random.default_rng([d, len(kind)])
     P = _parity_data(kind, d, rng)
     combos = np.array(list(itertools.combinations(range(len(P)), d + 1)))
     far = P[:3] + 10.0 * (P.max(axis=0) - P.min(axis=0) + 1.0)
     X = np.vstack([far, (P[:-1] + P[1:]) / 2, P])
-    for sigma in (1.0, 1.5, 3.0):
-        yield P[combos], X, sigma
+    return P[combos], X
+
+
+# Unsorted, with a repeat and a shrinking factor below 1.
+PARITY_SIGMAS = (3.0, 1.0, 1.5, 1.0, 0.5, 5.0)
 
 
 @pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
@@ -287,17 +292,27 @@ def _parity_cases(kind, d):
 def test_streaming_kernel_matches_einsum(d, kind, cap, monkeypatch):
     """The streaming kernel gives byte-equal counts to the einsum formulation.
 
+    One pass over a sigma grid gives, row by row, the counts of a
+    one-sigma call and of the einsum reference.  The reference has no
+    chunks and dilates the degenerate vertex sets itself, so it catches a
+    dropped simplex chunk and hull tests on another sigma's vertices.
     With the small cap the batches below take one query per chunk, a
     ragged last query chunk, and several chunks over the simplices.
     """
     monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
     hit = np.zeros(3, dtype=bool)  # one query per chunk, ragged query chunk, m > cap
-    for verts, X, sigma in _parity_cases(kind, d):
-        for m in (len(verts), 13, 7, 5):
-            q_chunk = cap // min(m, cap)
-            hit |= [q_chunk == 1, len(X) % q_chunk > 0, m > cap]
-            batch = SimplexBatch(verts[-m:], sigma=sigma)
-            assert batch.contains_counts(X).tolist() == _einsum_counts(batch, X).tolist()
+    verts, X = _parity_case(kind, d)
+    if kind == "grid" and d == 2:
+        assert SimplexBatch(verts).n_degenerate > 0
+    for m in (len(verts), 13, 7, 5):
+        q_chunk = cap // min(m, cap)
+        hit |= [q_chunk == 1, len(X) % q_chunk > 0, m > cap]
+        batch = SimplexBatch(verts[-m:])
+        counts = batch.contains_counts(X, PARITY_SIGMAS)
+        assert counts.shape == (len(PARITY_SIGMAS), len(X))
+        for row, sigma in zip(counts, PARITY_SIGMAS):
+            assert row.tolist() == _einsum_counts(batch, X, sigma).tolist()
+            assert row.tolist() == batch.contains_counts(X, [sigma])[0].tolist()
     assert cap > 24 or hit.all()
 
 

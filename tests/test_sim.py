@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import smallest_covering_sigma_rebuild
 
 from sigmadepth.errors import InputError
 from sigmadepth.sim import (
@@ -242,6 +243,37 @@ def test_smallest_covering_sigma_interval_case():
         DepthEvaluator(train1, cfg).depths(X), DepthEvaluator(train2, cfg).depths(X)
     )
     assert (d > 0).all()
+
+
+@pytest.mark.parametrize("case", ["interval", "mc2d"])
+def test_smallest_covering_sigma_reuses_one_evaluator_per_class(case, monkeypatch):
+    """Same answer as two fresh evaluators per probe, from two evaluators in all."""
+    from sigmadepth.depth import DepthConfig, DepthEvaluator
+
+    rng = np.random.default_rng(6)
+    if case == "interval":
+        train1 = rng.uniform(-2.0, -1.0, size=(200, 1))
+        train2 = rng.uniform(1.0, 2.0, size=(200, 1))
+        X = rng.uniform(-0.9, 0.9, size=(300, 1))
+        cfg = DepthConfig(method="simplex_enlarged")
+    else:
+        train1 = rng.standard_normal((30, 2)) - [3.0, 0.0]
+        train2 = rng.standard_normal((30, 2)) + [3.0, 0.0]
+        X = rng.standard_normal((40, 2)) * [1.0, 2.0]
+        cfg = DepthConfig(method="simplex_enlarged", budget=3000, seed=11)
+    want = smallest_covering_sigma_rebuild(train1, train2, X, cfg)
+    assert want > 1.0  # the search brackets and bisects
+
+    built = []
+    init = DepthEvaluator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DepthEvaluator, "__init__", counted)
+    assert smallest_covering_sigma(train1, train2, X, cfg) == want
+    assert len(built) == 2
 
 
 def test_full_scale_config_scales_up():
