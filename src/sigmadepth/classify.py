@@ -279,7 +279,6 @@ def classify_points(
     restarts: int,
     seed,
     tie_seed,
-    depth_cfg: DepthConfig | None = None,
 ):
     """Predicted class (1 or 2) of each test point from its depths in the two classes.
 
@@ -289,8 +288,7 @@ def classify_points(
     the test rows.  The DD-plot rules fit 'class 2 iff d2 > poly(d1)' on
     the training rows, with degree 1 for 'dd-linear' and `degree` for
     'dd-poly'; `seed` seeds the fit's random restarts and is unused by
-    'maxdepth', and the fitted model records `depth_cfg`.  Exact ties flip
-    coins keyed on tie_seed.
+    'maxdepth'.  Exact ties flip coins keyed on tie_seed.
     """
     if classifier not in CLASSIFIERS:
         raise InputError(f"classifier must be one of {CLASSIFIERS}")
@@ -309,7 +307,6 @@ def classify_points(
         degree=1 if classifier == "dd-linear" else degree,
         restarts=restarts,
         seed=seed,
-        depth_cfg=depth_cfg,
         tie_seed=tie_seed,
     )
     return predict_dd_points(model, test1, test2, test)

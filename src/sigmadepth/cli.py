@@ -145,7 +145,6 @@ def _cmd_classify(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
         tie_seed=args.seed,
-        depth_cfg=cfg,
     )
     outs = outsider_mask(train1, train2, test, GeomTolerance(eps=args.tol))
     buf = io.StringIO()
@@ -180,8 +179,6 @@ def _cmd_simulate(args) -> int:
     overrides = {"master_seed": args.seed}
     if args.setting is not None:
         overrides["setting"] = args.setting
-    if args.band is not None:
-        overrides["setting"] = args.band
     if args.n is not None:
         overrides["n_train"] = args.n
     if args.n_test is not None:
@@ -246,24 +243,18 @@ def _cmd_symmetry(args) -> int:
             "dist": args.dist,
             "kind": args.kind,
             "center": [float(v) for v in center],
-            "tol": args.tol,
-            "seed": args.seed,
             "out": args.out,
         },
     )
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_EPS, help="geometric tolerance eps")
-    p.add_argument("--out", default=None, help="output path (depth/classify/symmetry) or prefix (simulate)")
-
-
 def _add_depth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="simplicial", choices=sorted(METHOD_FLAGS))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--approx", type=int, default=None, metavar="M", help="Monte-Carlo budget; omit for exact")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--tol", type=float, default=DEFAULT_EPS, help="geometric tolerance eps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--query", required=True)
     _add_depth_flags(p)
-    _add_shared(p)
+    p.add_argument("--out", default=None, help="output path")
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("classify", help="two-class depth classification")
@@ -288,13 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--restarts", type=int, default=8)
     _add_depth_flags(p)
-    _add_shared(p)
+    p.add_argument("--out", default=None, help="output path")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("simulate", help="run one of the four experiments")
     p.add_argument("--scenario", type=int, required=True)
     p.add_argument("--setting", default=None)
-    p.add_argument("--band", default=None, choices=("symmetric", "asymmetric"))
     p.add_argument("--n", type=int, default=None, help="training size per class")
     p.add_argument("--n-test", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
@@ -306,14 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-scale", action="store_true", help="publication-size runs (slow)"
     )
-    _add_shared(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--out", default=None, help="output prefix")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("symmetry", help="check a discrete distribution's symmetry")
     p.add_argument("--dist", required=True, help="JSON with support/weights (optional center)")
     p.add_argument("--center", default=None, help="comma separated coordinates")
     p.add_argument("--kind", required=True, choices=("central", "angular", "halfspace"))
-    _add_shared(p)
+    p.add_argument("--out", default=None, help="output path")
     p.set_defaults(func=_cmd_symmetry)
 
     return parser

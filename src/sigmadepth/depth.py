@@ -149,25 +149,19 @@ def full_pattern_count(p: int) -> int:
     return math.comb(p * p, p) * math.factorial(p * p - p) // math.factorial(p - 1) ** p
 
 
-def _combine_vertices(lead_pts: np.ndarray, group_sums: np.ndarray, sigma: float, p: int):
-    """Vertex = sigma*leader + (1-sigma)/p * (leader + sum of its partners)."""
-    w = (1.0 - sigma) / p
-    return sigma * lead_pts + w * (lead_pts + group_sums)
-
-
 def _random_tuples(rng, n: int, r: int, m: int, chunk: int):
     """Yield m uniformly random r-tuples of distinct indices in [0, n)."""
     remaining = m
     while remaining > 0:
         c = min(chunk, remaining)
+        # No temporary is bound to a name here, so none stays alive while
+        # the caller builds its batch from the yielded chunk.
         if 2 * r >= n:
-            keys = rng.random((c, n))
-            idx = np.argsort(keys, axis=1)[:, :r]
+            idx = np.argsort(rng.random((c, n)), axis=1)[:, :r]
         else:
             idx = rng.integers(0, n, size=(c, r))
             while True:
-                s = np.sort(idx, axis=1)
-                bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
+                bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
                 if not bad.any():
                     break
                 idx[bad] = rng.integers(0, n, size=(int(bad.sum()), r))
@@ -231,8 +225,9 @@ class DepthEvaluator:
     """Depth of many query points against one (data, config) pair.
 
     Precomputes whatever the strategy allows: the block-combined points,
-    the Monte-Carlo tuple set, or the full simplex batch when it fits in
-    memory; large exact enumerations are streamed per call.  Repeated
+    and the simplex chunks of `_iter_batches` when they hold at most
+    `_PRECOMP_MAX` simplices; larger enumerations and Monte-Carlo budgets
+    are streamed through the same chunks on every call.  Repeated
     construction with the same inputs reproduces identical values, so the
     one-shot operations below simply build an evaluator and discard it.
     """
@@ -242,110 +237,80 @@ class DepthEvaluator:
         data = as_points(data)
         self.n, self.d = data.shape
         p = self.d + 1
-        self._p = p
-
-        if cfg.method in ("simplicial", "simplex_enlarged"):
-            if self.n < p:
-                raise InsufficientDataError(
-                    f"need at least d+1 = {p} points, got {self.n}"
-                )
-            self._base = data
-            self._tuple_len = p
-            total = math.comb(self.n, p)
-        elif cfg.method == "dist_enlarged_blocks":
-            if self.n < p * p:
-                raise InsufficientDataError(
-                    f"need at least (d+1)^2 = {p * p} points, got {self.n}"
-                )
-            self._base = sample_sigma_blocks(data, cfg.sigma)
-            self._tuple_len = p
-            total = math.comb(len(self._base), p)
-        elif cfg.method == "dist_enlarged_full":
-            if self.n < p * p:
-                raise InsufficientDataError(
-                    f"need at least (d+1)^2 = {p * p} points, got {self.n}"
-                )
-            self._base = data
-            self._tuple_len = p * p
-            total = math.comb(self.n, p * p) * full_pattern_count(p)
-        else:  # pragma: no cover - DepthConfig already validates
-            raise InputError(f"unknown method {cfg.method!r}")
-
-        self._data = data
         # The simplex methods dilate the simplices by sigma, so the kernel
         # serves every sigma at once; the distribution methods move the
         # points with sigma instead.
         self._dilates = cfg.method in ("simplicial", "simplex_enlarged")
+        self._full = cfg.method == "dist_enlarged_full"
+
+        need = p if self._dilates else p * p
+        if self.n < need:
+            raise InsufficientDataError(
+                f"method {cfg.method!r} needs at least {need} points in {self.d}-D, got {self.n}"
+            )
+        self._data = data
+        self._base = sample_sigma_blocks(data, cfg.sigma) if cfg.method == "dist_enlarged_blocks" else data
+        self._tuple_len = p * p if self._full else p
+        total = math.comb(len(self._base), self._tuple_len) * (full_pattern_count(p) if self._full else 1)
+
         self.exact = cfg.budget is None
         self.n_simplices = total if self.exact else int(cfg.budget)
 
-        self._nb = len(self._base)
         self._strategy = "enum"
-        if self.exact and self.d == 1 and cfg.method != "dist_enlarged_full":
+        if self.exact and self.d == 1 and not self._full:
             self._strategy = "count1d"
         elif not self.exact:
             self._strategy = "mc"
         # The cap guards enumeration work; the 1-D counting path costs
         # O(n log n) per query, in query chunks, however many pairs the
         # total names.
-        if self._strategy == "enum" and self.exact and total > cfg.exact_cap:
+        if self._strategy == "enum" and total > cfg.exact_cap:
             raise ResourceCapError(
                 f"exact enumeration needs {total} simplices (cap {cfg.exact_cap}); "
                 "pass a Monte-Carlo budget or raise exact_cap"
             )
-        self._batch = None
-        if self._strategy == "mc":
-            if self.n_simplices <= _PRECOMP_MAX:
-                self._batch = self._build_mc_batch()
-        elif self._strategy == "enum" and total <= _PRECOMP_MAX:
-            self._batch = SimplexBatch(
-                np.concatenate(list(self._iter_enum_verts())), eps=cfg.tol.eps
-            )
+        # Small simplex sets keep their chunks for every later query; larger
+        # ones are rebuilt chunk by chunk on each call.
+        self._batches = None
+        if self._strategy != "count1d" and self.n_simplices <= _PRECOMP_MAX:
+            self._batches = self._build_mc_batch() if self._strategy == "mc" else list(self._iter_batches())
 
-    # -- vertex materialization ------------------------------------------
+    # -- simplex materialization -----------------------------------------
 
-    def _full_verts_from_subsets(self, subs: np.ndarray) -> np.ndarray:
-        """(c, p^2) sorted index subsets -> (c*T, p, d) simplex vertices."""
-        p = self._p
-        leads, groups = _full_patterns(p)
-        pts = self._base[subs]  # (c, p^2, d)
-        lead_pts = pts[:, leads, :]  # (c, T, p, d)
-        group_sums = pts[:, groups, :].sum(axis=3)  # (c, T, p, d)
-        verts = _combine_vertices(lead_pts, group_sums, self.cfg.sigma, p)
-        return verts.reshape(-1, p, self.d)
+    def _iter_batches(self):
+        """One SimplexBatch per chunk of simplices: lex-order enumeration or MC draws.
 
-    def _full_verts_from_tuples(self, idx: np.ndarray) -> np.ndarray:
-        """(c, p^2) ordered index tuples -> (c, p, d) vertices, leaders first."""
-        p = self._p
-        pts = self._base[idx]
-        lead_pts = pts[:, :p, :]
-        group_sums = pts[:, p:, :].reshape(len(idx), p, p - 1, self.d).sum(axis=2)
-        return _combine_vertices(lead_pts, group_sums, self.cfg.sigma, p)
-
-    def _iter_enum_verts(self):
-        """Vertices of every enumerated simplex, in chunks, in lex order."""
-        if self.cfg.method == "dist_enlarged_full":
-            sub_chunk = max(1, _STREAM_CHUNK // full_pattern_count(self._p))
-            for subs in _iter_combo_chunks(self.n, self._tuple_len, sub_chunk):
-                yield self._full_verts_from_subsets(subs)
+        Exact evaluators walk the sorted index subsets; Monte-Carlo ones
+        draw `budget` index tuples from the config seed.  For the full
+        transform each index row becomes simplices through one leader/group
+        pattern gather, vertex = sigma*leader + (1-sigma)/p * (leader + sum
+        of its partners): every pattern of `_full_patterns` per sorted
+        subset, and the leaders-first pattern per random tuple.
+        """
+        p, nb, r = self.d + 1, len(self._base), self._tuple_len
+        if self.exact:
+            chunk = max(1, _STREAM_CHUNK // full_pattern_count(p)) if self._full else _STREAM_CHUNK
+            rows = _iter_combo_chunks(nb, r, chunk)
+            leads, groups = _full_patterns(p) if self._full else (None, None)
         else:
-            for combos in _iter_combo_chunks(self._nb, self._tuple_len, _STREAM_CHUNK):
-                yield self._base[combos]
+            chunk = max(256, min(_STREAM_CHUNK, (2**22) // max(nb, 1)))
+            rows = _random_tuples(np.random.default_rng(self.cfg.seed), nb, r, self.n_simplices, chunk)
+            leads, groups = np.arange(p)[None], np.arange(p, p * p).reshape(1, p, p - 1)
+        sigma, w = self.cfg.sigma, (1.0 - self.cfg.sigma) / p
+        for idx in rows:
+            verts = self._base[idx]
+            if self._full:
+                lead_pts = verts[:, leads]  # (c, T, p, d)
+                group_sums = verts[:, groups].sum(axis=3)  # (c, T, p, d)
+                verts = (sigma * lead_pts + w * (lead_pts + group_sums)).reshape(-1, p, self.d)
+            yield SimplexBatch(verts, eps=self.cfg.tol.eps)
 
-    def _build_mc_batch(self) -> SimplexBatch:
-        verts = np.concatenate(list(self._iter_mc_verts()))
-        return SimplexBatch(verts, eps=self.cfg.tol.eps)
+    def _build_mc_batch(self) -> list:
+        """Every Monte-Carlo chunk, kept for reuse across queries.
 
-    def _iter_mc_verts(self):
-        rng = np.random.default_rng(self.cfg.seed)
-        r = self._tuple_len
-        nb = self._nb
-        chunk = max(256, min(_STREAM_CHUNK, (2**22) // max(nb, 1)))
-        for idx in _random_tuples(rng, nb, r, self.n_simplices, chunk):
-            if self.cfg.method == "dist_enlarged_full":
-                yield self._full_verts_from_tuples(idx)
-            else:
-                yield self._base[idx]
+        A method of its own so that a profiler can time tuple sampling apart.
+        """
+        return list(self._iter_batches())
 
     # -- evaluation -------------------------------------------------------
 
@@ -392,13 +357,10 @@ class DepthEvaluator:
         """(len(sigmas), q) counts with the simplices dilated by each sigma."""
         if self._strategy == "count1d":
             return _count_pairs_1d(self._base[:, 0], X[:, 0], sigmas, self.cfg.tol.eps).T
-        if self._batch is not None:
-            return self._batch.contains_counts(X, sigmas)
-
+        # Counts sum independent per-pair decisions, so chunking cannot move them.
         counts = np.zeros((len(sigmas), len(X)), dtype=np.int64)
-        chunks = self._iter_mc_verts() if self._strategy == "mc" else self._iter_enum_verts()
-        for verts in chunks:
-            counts += SimplexBatch(verts, eps=self.cfg.tol.eps).contains_counts(X, sigmas)
+        for batch in self._batches or self._iter_batches():
+            counts += batch.contains_counts(X, sigmas)
         return counts
 
     def depth_value(self, x) -> DepthValue:

@@ -237,10 +237,9 @@ class ResultTable:
             )
         return buf.getvalue()
 
-    def to_json(self, include_raw: bool = True) -> str:
-        rows = []
-        for r in self.rows:
-            entry = {
+    def to_json(self) -> str:
+        rows = [
+            {
                 "scenario": r.scenario,
                 "setting": r.setting,
                 "sigma_or_delta": r.sigma_or_delta,
@@ -252,11 +251,11 @@ class ResultTable:
                 "median": r.median,
                 "q25": r.quantile(0.25),
                 "q75": r.quantile(0.75),
+                "rates": [float(v) for v in r.rates],
+                "outsider_rates": [float(v) for v in r.outsider_rates],
             }
-            if include_raw:
-                entry["rates"] = [float(v) for v in r.rates]
-                entry["outsider_rates"] = [float(v) for v in r.outsider_rates]
-            rows.append(entry)
+            for r in self.rows
+        ]
         return json.dumps({"rows": rows}, indent=1)
 
 
@@ -577,7 +576,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
                 sigmas = [sigma for _, sigma in arms]
                 prof1 = DepthEvaluator(t1, seeds[0][0]).depth_profile(points, sigmas)
                 prof2 = DepthEvaluator(t2, seeds[0][1]).depth_profile(points, sigmas)
-                for (key, _), (cfg1, _, tie_seed, seed), d1, d2 in zip(arms, seeds, prof1, prof2):
+                for (key, _), (_, _, tie_seed, seed), d1, d2 in zip(arms, seeds, prof1, prof2):
                     pred = classify_points(
                         d1,
                         d2,
@@ -588,7 +587,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
                         restarts=8,
                         seed=seed,
                         tie_seed=tie_seed,
-                        depth_cfg=cfg1,
                     )
                     for col, rate in zip(acc[(key, delta)], _rates(pred, truth, mask)):
                         col.append(rate)

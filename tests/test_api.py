@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,14 @@ def test_submodule_all_resolves_to_own_names(module):
     assert [name for name in exported if not hasattr(module, name)] == []
     own = top_level_definitions(module)
     assert [name for name in exported if name not in own] == []
+
+
+def test_perfbench_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps still exists under its traced name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # Installing looks up every target and raises on a missing one; leaving restores them.
+    with tracing.Tracer().installed():
+        pass

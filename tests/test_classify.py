@@ -84,7 +84,7 @@ def test_classify_points_applies_the_named_rule():
     X = rng.standard_normal((15, 2)) + 0.7
     ev1 = DepthEvaluator(train1, CFG)
     ev2 = DepthEvaluator(train2, CFG)
-    kw = dict(degree=3, restarts=2, seed=5, tie_seed=4, depth_cfg=CFG)
+    kw = dict(degree=3, restarts=2, seed=5, tie_seed=4)
 
     def args(classifier):
         rows, labels = depth_rows(train1, train2, X, classifier)

@@ -151,6 +151,21 @@ def test_argparse_rejects_unknown_method(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --scenario 4 --tol 1e-9",
+        "simulate --scenario 2 --band symmetric",
+        "symmetry --dist d.json --kind central --tol 1e-9",
+        "symmetry --dist d.json --kind central --seed 3",
+    ],
+)
+def test_flags_a_subcommand_never_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+
+
 def test_classify_command(tmp_path):
     rng = np.random.default_rng(5)
     t1 = tmp_path / "t1.csv"

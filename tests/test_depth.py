@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle import count_pairs_1d_loop
+from oracle import count_pairs_1d_loop, naive_full_depth
 
 from sigmadepth import depth as depth_module
 from sigmadepth.depth import (
@@ -17,6 +17,7 @@ from sigmadepth.depth import (
     DepthValue,
     _count_pairs_1d,
     _iter_combo_chunks,
+    _random_tuples,
     compute_depth,
     depth_maximizer,
     trimmed_region_grid,
@@ -167,7 +168,7 @@ def _per_sigma_counts(d, kind, budget):
     P, X = _profile_corpus(kind, d)
     cfg = DepthConfig(method="simplex_enlarged", budget=budget, seed=5)
     if kind == "grid" and d > 1:
-        assert DepthEvaluator(P, cfg)._batch.n_degenerate > 0
+        assert sum(b.n_degenerate for b in DepthEvaluator(P, cfg)._batches) > 0
     return np.stack([DepthEvaluator(P, replace(cfg, sigma=s)).contain_counts(X) for s in PROFILE_SIGMAS])
 
 
@@ -192,7 +193,7 @@ def test_depth_profile_matches_per_sigma_evaluators(d, kind, path, cap, monkeypa
         monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
     ev = DepthEvaluator(P, cfg)
     if ev._strategy != "count1d":
-        assert (ev._batch is None) == ("streamed" in path)
+        assert (ev._batches is None) == ("streamed" in path)
     # n_simplices < 2^53, so equal quotients mean equal counts
     assert np.array_equal(ev.depth_profile(X, PROFILE_SIGMAS), want / ev.n_simplices)
 
@@ -244,6 +245,59 @@ def test_streaming_enumeration_matches_direct_batch():
         verts = data[combos[s : s + 100_000]]
         counts += SimplexBatch(verts).contains_counts(X, [2.0])[0]
     assert np.array_equal(ev.contain_counts(X), counts)
+
+
+# 2-D needs n = 10 for several streamed chunks, and the oracle then walks
+# 10! ordered tuples per query, so it gets one query.
+@pytest.mark.parametrize("d, n, q", [(1, 6, 4), (2, 10, 1)])
+def test_full_transform_enumeration_kept_streamed_and_naive_agree(d, n, q, monkeypatch):
+    """Exact full-transform depths are identical kept, streamed in chunks, and by the oracle."""
+    rng = np.random.default_rng([d, n])
+    data = rng.standard_normal((n, d))
+    X = 0.5 * rng.standard_normal((q, d))
+    cfg = DepthConfig(method="dist_enlarged_full", sigma=2.0)
+    kept = DepthEvaluator(data, cfg)
+    monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+    monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
+    streamed = DepthEvaluator(data, cfg)
+    assert kept._batches is not None and streamed._batches is None
+    assert len(list(streamed._iter_batches())) > 1
+    want = [naive_full_depth(data, x, cfg.sigma).value for x in X]
+    assert kept.depths(X).tolist() == want
+    assert streamed.depths(X).tolist() == want
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_full_transform_monte_carlo_matches_per_tuple_reference(d, streamed, monkeypatch):
+    """Monte-Carlo full-transform counts equal one simplex per drawn tuple, leaders first.
+
+    A budget of at most 256 tuples is a single draw whatever the chunk
+    size, so the reference draws the same tuples from the seed directly.
+    """
+    rng = np.random.default_rng(40 + d)
+    p = d + 1
+    data = rng.standard_normal((3 * p * p, d))
+    X = np.vstack([data[:4], rng.standard_normal((6, d))])
+    sigma, budget, seed = 1.7, 200, 8
+    if streamed:
+        monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+        monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
+    ev = DepthEvaluator(data, DepthConfig(method="dist_enlarged_full", sigma=sigma, budget=budget, seed=seed))
+    assert (ev._batches is None) == streamed
+
+    (tuples,) = _random_tuples(np.random.default_rng(seed), len(data), p * p, budget, budget)
+    w = (1.0 - sigma) / p
+    want = np.zeros(len(X), dtype=np.int64)
+    for t in tuples:
+        pts = data[t]
+        verts = [
+            sigma * pts[j] + w * (pts[j] + sum(pts[p + j * (p - 1) + k] for k in range(p - 1)))
+            for j in range(p)
+        ]
+        want += SimplexBatch(np.array(verts)[None]).contains_counts(X, [1.0])[0]
+    assert want.sum() > 0
+    assert np.array_equal(ev.contain_counts(X), want)
 
 
 @given(st.integers(0, 2**32 - 1))
