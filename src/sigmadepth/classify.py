@@ -2,23 +2,21 @@
 
 A DD-plot scatters (depth w.r.t. class 1, depth w.r.t. class 2); the fitted
 separating curve is a polynomial through the origin, class 2 being the
-region above the curve.  Both rules act on a batch of test points, and
-every exact tie is resolved by a deterministic fair coin derived from a
-tie seed and a content hash of the tied point's coordinates, so repeated
-runs agree bit for bit while distinct seeds average out to a fair
-allocation.
+region above the curve.  The maximum-depth rule is the DD rule whose curve
+is the diagonal d2 = d1, so both rules share one decision on a batch of
+test points, and every exact tie is resolved by a deterministic fair coin
+derived from a tie seed and a content hash of the tied point's
+coordinates, so repeated runs agree bit for bit while distinct seeds
+average out to a fair allocation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .depth import DepthConfig
 from .errors import InputError
 from .geometry import DEFAULT_EPS, GeomTolerance, as_points, convex_hull_contains_many
 
@@ -57,7 +55,6 @@ class DDModel:
 
     degree: int
     coefficients: np.ndarray
-    depth_cfg: DepthConfig
     tie_seed: int = 0
 
     def __post_init__(self):
@@ -78,59 +75,36 @@ class DDModel:
             acc = a + d1 * acc
         return d1 * acc
 
-    def to_json(self) -> str:
-        cfg = self.depth_cfg
-        return json.dumps(
-            {
-                "degree": int(self.degree),
-                "coefficients": [float(a) for a in self.coefficients],
-                "depth_cfg": {
-                    "method": cfg.method,
-                    "sigma": cfg.sigma,
-                    "budget": cfg.budget,
-                    "seed": cfg.seed,
-                    "tol_eps": cfg.tol.eps,
-                    "exact_cap": cfg.exact_cap,
-                },
-                "tie_seed": int(self.tie_seed),
-            }
-        )
 
-    @staticmethod
-    def from_json(text: str) -> "DDModel":
-        try:
-            obj = json.loads(text)
-            c = obj["depth_cfg"]
-            cfg = DepthConfig(
-                method=c["method"],
-                sigma=c["sigma"],
-                budget=c["budget"],
-                seed=c["seed"],
-                tol=GeomTolerance(eps=c["tol_eps"]),
-                exact_cap=c["exact_cap"],
-            )
-            return DDModel(
-                obj["degree"], np.asarray(obj["coefficients"]), cfg, obj["tie_seed"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad model JSON: {exc}") from exc
+def _decide(d2, cut, X, tie_seed):
+    """Class 2 where d2 > cut, else class 1; rows with d2 == cut flip a coin.
+
+    Tying depth pairs are common (every double outsider sits at exactly
+    (0, 0)), so keying the coin on the depth values would assign all of
+    them to one class.  Keying on the point coordinates instead gives each
+    tied point its own fair flip, which is what the outsider rate tables
+    assume, while staying reproducible.
+    """
+    X = as_points(X)
+    d2 = np.asarray(d2, dtype=float).ravel()
+    cut = np.asarray(cut, dtype=float).ravel()
+    if not d2.size == cut.size == len(X):
+        raise InputError("depth vectors must align with the points")
+    if not (np.isfinite(d2).all() and np.isfinite(cut).all()):
+        raise InputError("depths must be finite")
+    out = np.where(d2 > cut, 2, 1).astype(np.int64)
+    for i in np.flatnonzero(d2 == cut):
+        out[i] = _tie_coin(tie_seed, X[i])
+    return out
 
 
 def max_depth_classify_batch(v1, v2, X, tie_seed=0):
     """Assign each row of X to the class giving it larger depth; exact ties flip a coin.
 
-    v1 and v2 are the rows' depths in class 1 and class 2, and each tied
-    point gets its own coin keyed on (tie_seed, point).
+    v1 and v2 are the rows' depths in class 1 and class 2: the DD rule with
+    the diagonal v2 = v1 as its curve.
     """
-    X = as_points(X)
-    v1 = np.asarray(v1, dtype=float).ravel()
-    v2 = np.asarray(v2, dtype=float).ravel()
-    if not v1.size == v2.size == len(X):
-        raise InputError("depth vectors must align with the points")
-    out = np.where(v1 >= v2, 1, 2)
-    for i in np.flatnonzero(v1 == v2):
-        out[i] = _tie_coin(tie_seed, X[i])
-    return out
+    return _decide(v2, v1, X, tie_seed)
 
 
 def _labels_as_two_classes(labels, n):
@@ -183,7 +157,6 @@ def fit_dd(
     degree: int = 1,
     restarts: int = 8,
     seed=0,
-    depth_cfg: DepthConfig | None = None,
     tie_seed=0,
 ) -> DDModel:
     """Fit the DD-plot rule 'class 2 iff d2 > poly(d1)' by 0-1 loss.
@@ -202,11 +175,12 @@ def fit_dd(
         raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
     if restarts < 1:
         raise InputError("restarts must be >= 1")
-    cfg = depth_cfg if depth_cfg is not None else DepthConfig()
 
     slope, lin_loss = _linear_scan(d1, d2, labels)
     if degree == 1:
-        return DDModel(1, np.array([slope]), cfg, tie_seed)
+        return DDModel(1, np.array([slope]), tie_seed)
+
+    from scipy.optimize import minimize
 
     powers = np.stack([d1**k for k in range(1, degree + 1)], axis=1)
 
@@ -231,28 +205,12 @@ def fit_dd(
         key = (loss(res.x), float(np.linalg.norm(res.x)), res.x)
         if key[:2] < best[:2]:
             best = key
-    return DDModel(degree, best[2], cfg, tie_seed)
+    return DDModel(degree, best[2], tie_seed)
 
 
 def predict_dd_points(model: DDModel, d1, d2, X):
-    """Vectorized DD rule over test points, ties keyed on the points.
-
-    Tying depth pairs are common (every double outsider sits at exactly
-    (0, 0)), so keying the coin on the depth values would assign all of
-    them to one class.  Keying on the point coordinates instead gives each
-    tied point its own fair flip, which is what the outsider rate tables
-    assume, while staying reproducible.
-    """
-    X = as_points(X)
-    d1 = np.asarray(d1, dtype=float).ravel()
-    d2 = np.asarray(d2, dtype=float).ravel()
-    if not d1.size == d2.size == len(X):
-        raise InputError("depth vectors must align with the points")
-    cut = model.boundary(d1)
-    pred = np.where(d2 > cut, 2, 1).astype(np.int64)
-    for i in np.flatnonzero(d2 == cut):
-        pred[i] = _tie_coin(model.tie_seed, X[i])
-    return pred
+    """Vectorized DD rule over test points, ties keyed on the points."""
+    return _decide(d2, model.boundary(d1), X, model.tie_seed)
 
 
 def depth_rows(train1, train2, test, classifier: str):

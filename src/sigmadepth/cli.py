@@ -88,9 +88,12 @@ def _echo_config(out: str | None, payload: dict) -> None:
         Path(f"{out}.config.json").write_text(text)
 
 
+def _flags(args) -> dict:
+    """The parsed command line, subcommand first, in the parser's flag order."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
 def _depth_config(args) -> DepthConfig:
-    if args.method not in METHOD_FLAGS:
-        raise InputError(f"unknown method {args.method!r}")
     return DepthConfig(
         method=METHOD_FLAGS[args.method],
         sigma=args.sigma,
@@ -112,20 +115,7 @@ def _cmd_depth(args) -> int:
     for q, v in zip(queries, vals):
         w.writerow([repr(float(c)) for c in q] + [repr(float(v)), int(ev.exact)])
     _write_text(args.out, buf.getvalue())
-    _echo_config(
-        args.out,
-        {
-            "subcommand": "depth",
-            "data": args.data,
-            "query": args.query,
-            "method": args.method,
-            "sigma": args.sigma,
-            "approx": args.approx,
-            "seed": args.seed,
-            "tol": args.tol,
-            "out": args.out,
-        },
-    )
+    _echo_config(args.out, _flags(args))
     return 0
 
 
@@ -153,24 +143,7 @@ def _cmd_classify(args) -> int:
     for q, p, o in zip(test, pred, outs):
         w.writerow([repr(float(c)) for c in q] + [int(p), int(o)])
     _write_text(args.out, buf.getvalue())
-    _echo_config(
-        args.out,
-        {
-            "subcommand": "classify",
-            "train1": args.train1,
-            "train2": args.train2,
-            "test": args.test,
-            "classifier": args.classifier,
-            "degree": args.degree,
-            "restarts": args.restarts,
-            "method": args.method,
-            "sigma": args.sigma,
-            "approx": args.approx,
-            "seed": args.seed,
-            "tol": args.tol,
-            "out": args.out,
-        },
-    )
+    _echo_config(args.out, _flags(args))
     return 0
 
 

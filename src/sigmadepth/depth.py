@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import GeomTolerance, SimplexBatch, as_point, as_points
@@ -44,6 +43,9 @@ DEFAULT_EXACT_CAP = 10**7
 _PRECOMP_MAX = 2**19
 # Streaming chunk size (simplices per kernel batch).
 _STREAM_CHUNK = 2**18
+# Exact full-transform chunks hold whole subsets, so one subset's pattern
+# table must stay small: 7560 simplices in 2-D, but 672 672 000 in 3-D.
+_FULL_PATTERN_MAX = 2**18
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,11 @@ class DepthEvaluator:
             self._strategy = "count1d"
         elif not self.exact:
             self._strategy = "mc"
+        if self._strategy == "enum" and self._full and full_pattern_count(p) > _FULL_PATTERN_MAX:
+            raise ResourceCapError(
+                f"exact 'dist_enlarged_full' in {self.d}-D needs {full_pattern_count(p)} "
+                "simplices per subset; pass a Monte-Carlo budget"
+            )
         # The cap guards enumeration work; the 1-D counting path costs
         # O(n log n) per query, in query chunks, however many pairs the
         # total names.
@@ -397,6 +404,8 @@ def depth_maximizer(data, cfg: DepthConfig) -> np.ndarray:
     vals = ev.depths(cand)
     best = int(np.argmax(vals))
     x0, v0 = cand[best], vals[best]
+
+    from scipy.optimize import minimize
 
     res = minimize(
         lambda z: -ev.depths(z[None])[0],

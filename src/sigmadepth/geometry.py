@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError
 
@@ -190,6 +189,8 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
     if d == 1:
         return pts.min() - tol.eps <= x[0] <= pts.max() + tol.eps
+
+    from scipy.optimize import linprog
 
     # min t  s.t.  -t <= (lam @ (pts - x))_j <= t,  sum(lam) = 1,  lam >= 0
     rel = pts - x

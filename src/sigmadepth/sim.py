@@ -43,7 +43,7 @@ from .classify import (
 )
 from .depth import DepthConfig, DepthEvaluator
 from .errors import InputError
-from .geometry import GeomTolerance, as_points
+from .geometry import as_points
 
 __all__ = [
     "ScenarioConfig",
@@ -417,14 +417,8 @@ def _rep_rng(cfg: ScenarioConfig, rep: int, sweep: int):
     )
 
 
-def _depth_cfg(cfg: ScenarioConfig, sigma: float, rng) -> DepthConfig:
-    return DepthConfig(
-        method=cfg.method,
-        sigma=float(sigma),
-        budget=cfg.budget,
-        seed=int(rng.integers(2**63 - 1)),
-        tol=GeomTolerance(),
-    )
+def _depth_cfg(cfg: ScenarioConfig, sigma: float, seed: int) -> DepthConfig:
+    return DepthConfig(method=cfg.method, sigma=float(sigma), budget=cfg.budget, seed=seed)
 
 
 def _rates(pred, truth, omask):
@@ -561,21 +555,22 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
                 sets.append((raw, [("baseline", 1.0)]))
             for (t1, t2), arms in sets:
                 mask = outsider_mask(t1, t2, test)
-                # per arm: class 1 and class 2 depth configs, then the tie
+                # per arm: class 1 and class 2 depth seeds, then the tie
                 # seed, then the DD fit seed: the tables' random streams
                 seeds = [
                     (
-                        _depth_cfg(cfg, sigma, rng),
-                        _depth_cfg(cfg, sigma, rng),
+                        int(rng.integers(2**63 - 1)),
+                        int(rng.integers(2**63 - 1)),
                         int(rng.integers(2**31)),
                         None if cfg.classifier == "maxdepth" else int(rng.integers(2**31)),
                     )
-                    for _, sigma in arms
+                    for _ in arms
                 ]
                 points, labels = depth_rows(t1, t2, test, cfg.classifier)
                 sigmas = [sigma for _, sigma in arms]
-                prof1 = DepthEvaluator(t1, seeds[0][0]).depth_profile(points, sigmas)
-                prof2 = DepthEvaluator(t2, seeds[0][1]).depth_profile(points, sigmas)
+                cfg1, cfg2 = (_depth_cfg(cfg, sigmas[0], seed) for seed in seeds[0][:2])
+                prof1 = DepthEvaluator(t1, cfg1).depth_profile(points, sigmas)
+                prof2 = DepthEvaluator(t2, cfg2).depth_profile(points, sigmas)
                 for (key, _), (_, _, tie_seed, seed), d1, d2 in zip(arms, seeds, prof1, prof2):
                     pred = classify_points(
                         d1,

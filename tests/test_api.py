@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,12 @@ def test_perfbench_tracer_targets_resolve():
     # Installing looks up every target and raises on a missing one; leaving restores them.
     with tracing.Tracer().installed():
         pass
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The package and its CLI import without scipy.optimize; only the LP and the fits need it."""
+    src = str(Path(sigmadepth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sigmadepth, sigmadepth.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

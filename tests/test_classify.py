@@ -179,27 +179,15 @@ def test_fit_validation():
 
 
 def test_boundary_is_polynomial_through_origin():
-    model = DDModel(3, np.array([0.5, -0.25, 2.0]), CFG)
+    model = DDModel(3, np.array([0.5, -0.25, 2.0]))
     xs = np.array([0.0, 0.4, 1.0])
     expected = 0.5 * xs - 0.25 * xs**2 + 2.0 * xs**3
     assert np.allclose(model.boundary(xs), expected)
     assert model.boundary(np.array([0.0]))[0] == 0.0
 
 
-def test_model_json_round_trip():
-    cfg = DepthConfig(method="dist_enlarged_blocks", sigma=3.0, budget=500, seed=9)
-    model = DDModel(2, np.array([1.5, -0.5]), cfg, tie_seed=7)
-    back = DDModel.from_json(model.to_json())
-    assert back.degree == 2
-    assert np.array_equal(back.coefficients, model.coefficients)
-    assert back.depth_cfg == cfg
-    assert back.tie_seed == 7
-    with pytest.raises(InputError):
-        DDModel.from_json("{\"degree\": 1}")
-
-
 def test_predict_is_deterministic():
-    model = DDModel(1, np.array([1.0]), CFG, tie_seed=3)
+    model = DDModel(1, np.array([1.0]), tie_seed=3)
     X = np.array([[0.5, -1.0], [2.0, 3.0], [7.0, 7.0]])
     d1, d2 = [0.2, 0.3, 0.0], [0.3, 0.2, 0.0]
     assert predict_dd_points(model, d1, d2, X)[:2].tolist() == [2, 1]
@@ -208,7 +196,7 @@ def test_predict_is_deterministic():
 
 
 def test_predict_points_gives_each_tied_point_its_own_flip():
-    model = DDModel(1, np.array([1.0]), CFG, tie_seed=0)
+    model = DDModel(1, np.array([1.0]), tie_seed=0)
     rng = np.random.default_rng(2)
     X = rng.standard_normal((2000, 2)) * 5.0
     zeros = np.zeros(len(X))
@@ -219,6 +207,30 @@ def test_predict_points_gives_each_tied_point_its_own_flip():
     assert np.array_equal(pred, again)
     with pytest.raises(InputError):
         predict_dd_points(model, zeros[:5], zeros, X)
+
+
+def test_max_depth_is_the_diagonal_dd_rule():
+    rng = np.random.default_rng(5)
+    X = rng.integers(-3, 4, size=(400, 2)).astype(float)
+    # Depths on a coarse grid tie often; the first 50 rows are (0, 0) outsiders.
+    v1 = rng.integers(0, 4, size=len(X)) / 4.0
+    v2 = rng.integers(0, 4, size=len(X)) / 4.0
+    v1[:50] = v2[:50] = 0.0
+    assert (v1 == v2).sum() > 100
+    for s in (0, 1, 7, 2**40 + 3):
+        assert np.array_equal(
+            max_depth_classify_batch(v1, v2, X, s),
+            predict_dd_points(DDModel(1, [1.0], s), v1, v2, X),
+        )
+
+
+def test_both_rules_reject_non_finite_depths():
+    X = [[0.0], [1.0]]
+    for bad in ([np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(InputError):
+            max_depth_classify_batch(bad, [0.5, 0.5], X)
+        with pytest.raises(InputError):
+            predict_dd_points(DDModel(1, [1.0]), [0.5, 0.5], bad, X)
 
 
 def test_outsider_mask_triangles():

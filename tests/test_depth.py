@@ -425,6 +425,15 @@ def test_exact_cap_guard():
     assert 0.0 <= val.value <= 1.0
 
 
+def test_exact_full_transform_in_3d_is_refused_at_construction():
+    # One 16-point subset already needs 672 672 000 simplices, more than a
+    # streamed chunk holds, however high the cap.
+    data = np.random.default_rng(3).standard_normal((16, 3))
+    cfg = exact_cfg(method="dist_enlarged_full", sigma=2.0, exact_cap=10**12)
+    with pytest.raises(ResourceCapError, match="Monte-Carlo budget"):
+        DepthEvaluator(data, cfg)
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         DepthConfig(method="nope")
