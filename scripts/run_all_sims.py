@@ -1,27 +1,20 @@
 """Run the four experiments at desk scale and write tables to results/.
 
-Pass --full-scale for the full-size runs (expect hours).  Each scenario writes
-<name>.csv and <name>.json plus a .config.json echo, so every number in the
-tables can be traced back to its exact configuration.
+Each scenario is one `sigmadepth simulate` run writing scenario<k>.csv,
+scenario<k>.json and a scenario<k>.config.json echo, so every number in the
+tables can be traced back to its exact configuration.  Pass --full-scale for
+the full-size runs (expect hours).
 
 Usage:
     python scripts/run_all_sims.py [--full-scale] [--outdir results] [--seed 0]
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-from sigmadepth.sim import default_config, full_scale_config, run_scenario
-
-SCENARIOS = {
-    1: dict(),
-    2: dict(),
-    3: dict(include_unfiltered_baseline=True),
-    4: dict(),
-}
+from sigmadepth import cli
 
 
 def main(argv=None) -> int:
@@ -38,21 +31,14 @@ def main(argv=None) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    make = full_scale_config if args.full_scale else default_config
-    wanted = [args.scenario] if args.scenario else sorted(SCENARIOS)
-
-    for scen in wanted:
-        cfg = make(scen, master_seed=args.seed, **SCENARIOS[scen])
-        t0 = time.perf_counter()
-        table = run_scenario(cfg)
-        dt = time.perf_counter() - t0
+    for scen in [args.scenario] if args.scenario else (1, 2, 3, 4):
         base = outdir / f"scenario{scen}"
-        base.with_suffix(".csv").write_text(table.to_csv())
-        base.with_suffix(".json").write_text(table.to_json())
-        (outdir / f"scenario{scen}.config.json").write_text(
-            json.dumps(cfg.to_dict(), indent=1)
-        )
-        print(f"scenario {scen}: {len(table.rows)} rows in {dt:.1f}s -> {base}.csv")
+        cmd = ["simulate", "--scenario", str(scen), "--seed", str(args.seed), "--out", str(base)]
+        t0 = time.perf_counter()
+        code = cli.main(cmd + ["--full-scale"] * args.full_scale)
+        if code:
+            return code
+        print(f"scenario {scen}: {time.perf_counter() - t0:.1f}s -> {base}.csv")
     return 0
 
 

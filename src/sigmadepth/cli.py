@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import CLASSIFIERS, classify_points, depth_rows, outsider_mask
-from .depth import DepthConfig, DepthEvaluator
+from .depth import METHODS, DepthConfig, DepthEvaluator
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import DEFAULT_EPS, GeomTolerance
 from .sigma import DiscreteDistribution
@@ -30,12 +30,7 @@ from .symmetry import (
     check_halfspace_symmetry,
 )
 
-METHOD_FLAGS = {
-    "simplicial": "simplicial",
-    "simplex-enlarged": "simplex_enlarged",
-    "dist-enlarged-blocks": "dist_enlarged_blocks",
-    "dist-enlarged-full": "dist_enlarged_full",
-}
+METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -149,29 +144,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     make = full_scale_config if args.full_scale else default_config
-    overrides = {"master_seed": args.seed}
-    if args.setting is not None:
-        overrides["setting"] = args.setting
-    if args.n is not None:
-        overrides["n_train"] = args.n
-    if args.n_test is not None:
-        overrides["n_test"] = args.n_test
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.sigma_grid is not None:
-        overrides["sigma_grid"] = _floats(args.sigma_grid)
-    if args.delta is not None:
-        overrides["delta_grid"] = _floats(args.delta)
-    if args.classifier is not None:
-        overrides["classifier"] = args.classifier
-    if args.degree is not None:
-        overrides["degree"] = args.degree
-    if args.budget is not None:
-        overrides["budget"] = None if args.budget <= 0 else args.budget
-    try:
-        cfg = make(args.scenario, **overrides)
-    except KeyError as exc:
-        raise InputError("scenario must be 1, 2, 3 or 4") from exc
+    # the flags named after a ScenarioConfig field override it when given
+    fields = (
+        "setting", "n_train", "n_test", "reps", "sigma_grid", "delta_grid", "classifier", "degree", "budget"
+    )
+    overrides = {k: getattr(args, k) for k in fields if getattr(args, k) is not None}
+    if args.budget is not None and args.budget <= 0:
+        overrides["budget"] = None  # exact depth
+    cfg = make(args.scenario, master_seed=args.seed, **overrides)
     table = run_scenario(cfg)
     prefix = args.out if args.out is not None else f"sim{args.scenario}"
     Path(f"{prefix}.csv").write_text(table.to_csv())
@@ -209,16 +189,7 @@ def _cmd_symmetry(args) -> int:
         "witness": None if verdict.witness is None else [float(v) for v in verdict.witness],
     }
     _write_text(args.out, json.dumps(payload, indent=1) + "\n")
-    _echo_config(
-        args.out,
-        {
-            "subcommand": "symmetry",
-            "dist": args.dist,
-            "kind": args.kind,
-            "center": [float(v) for v in center],
-            "out": args.out,
-        },
-    )
+    _echo_config(args.out, {**_flags(args), "center": [float(v) for v in center]})
     return 0
 
 
@@ -258,11 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one of the four experiments")
     p.add_argument("--scenario", type=int, required=True)
     p.add_argument("--setting", default=None)
-    p.add_argument("--n", type=int, default=None, help="training size per class")
+    p.add_argument("--n", dest="n_train", type=int, default=None, help="training size per class")
     p.add_argument("--n-test", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--sigma-grid", default=None, help="comma separated, e.g. 1,1.5,2")
-    p.add_argument("--delta", default=None, help="comma separated band/shift values")
+    p.add_argument("--sigma-grid", type=_floats, default=None, help="comma separated, e.g. 1,1.5,2")
+    p.add_argument(
+        "--delta", dest="delta_grid", type=_floats, default=None, help="comma separated band/shift values"
+    )
     p.add_argument("--classifier", default=None, choices=CLASSIFIERS)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--budget", type=int, default=None, help="depth MC budget; <=0 means exact")

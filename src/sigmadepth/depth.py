@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -41,11 +42,21 @@ METHODS = (
 DEFAULT_EXACT_CAP = 10**7
 # Simplex batches up to this size are precomputed and reused across queries.
 _PRECOMP_MAX = 2**19
-# Streaming chunk size (simplices per kernel batch).
+# Streaming chunk size (simplices per kernel batch).  Exact full-transform
+# chunks hold whole subsets, so one subset's pattern table must fit in one
+# chunk: 7560 simplices in 2-D, but 672 672 000 in 3-D.
 _STREAM_CHUNK = 2**18
-# Exact full-transform chunks hold whole subsets, so one subset's pattern
-# table must stay small: 7560 simplices in 2-D, but 672 672 000 in 3-D.
-_FULL_PATTERN_MAX = 2**18
+
+
+def _is_count(value) -> bool:
+    """A finite integral real >= 1; a bool is a flag, not a count."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 1
+        and int(value) == value
+    )
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,12 @@ class DepthConfig:
         check_sigma(self.sigma)
         if self.method == "simplicial" and self.sigma != 1.0:
             raise InputError("method 'simplicial' requires sigma = 1")
-        if self.budget is not None and (int(self.budget) != self.budget or self.budget < 1):
-            raise InputError(f"budget must be a positive integer, got {self.budget}")
-        if int(self.exact_cap) < 1:
-            raise InputError("exact_cap must be >= 1")
+        if self.budget is not None and not _is_count(self.budget):
+            raise InputError(f"budget must be a positive integer, got {self.budget!r}")
+        if not _is_count(self.exact_cap):
+            raise InputError(f"exact_cap must be a positive integer, got {self.exact_cap!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.tol, GeomTolerance):
             raise InputError("tol must be a GeomTolerance")
 
@@ -263,7 +276,7 @@ class DepthEvaluator:
             self._strategy = "count1d"
         elif not self.exact:
             self._strategy = "mc"
-        if self._strategy == "enum" and self._full and full_pattern_count(p) > _FULL_PATTERN_MAX:
+        if self._strategy == "enum" and self._full and full_pattern_count(p) > _STREAM_CHUNK:
             raise ResourceCapError(
                 f"exact 'dist_enlarged_full' in {self.d}-D needs {full_pattern_count(p)} "
                 "simplices per subset; pass a Monte-Carlo budget"
@@ -296,7 +309,7 @@ class DepthEvaluator:
         """
         p, nb, r = self.d + 1, len(self._base), self._tuple_len
         if self.exact:
-            chunk = max(1, _STREAM_CHUNK // full_pattern_count(p)) if self._full else _STREAM_CHUNK
+            chunk = _STREAM_CHUNK // full_pattern_count(p) if self._full else _STREAM_CHUNK
             rows = _iter_combo_chunks(nb, r, chunk)
             leads, groups = _full_patterns(p) if self._full else (None, None)
         else:

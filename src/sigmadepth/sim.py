@@ -12,7 +12,7 @@ Scenario sketch (all rates are misclassification rates):
    inner separation delta.
 3. Missing-data bands: two normals with means (-2,0) and (2,0); training
    keeps only draws outside a vertical band, testing accumulates draws
-   inside it.
+   inside it, and a baseline arm at sigma 1 trains on the unfiltered draws.
 4. Four adjacent unit intervals on the line: train on the outer two,
    classify the inner two, sweeping the enlargement factor sigma.
 
@@ -73,6 +73,9 @@ BANDS = ("symmetric", "asymmetric")
 # heavier-tailed elliptical pairs (whose clouds are wider).
 NORMAL_SHIFT = 2.0
 ELLIPTICAL_SHIFT = 4.0
+# Scale alternative: class 2's coordinates (or, with scale_on_cov, its
+# covariance) multiplied by this factor.
+SCALE = 3.0
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,9 @@ class ScenarioConfig:
     budget: int | None = 20_000
     method: str = "simplex_enlarged"
     master_seed: int = 0
-    scale_multiplier: float = 3.0
     scale_on_cov: bool = False
     test_per_class: int = 100
     draw_cap: int = 10**6
-    include_unfiltered_baseline: bool = False
 
     def __post_init__(self):
         if self.scenario not in (1, 2, 3, 4):
@@ -284,7 +285,7 @@ def default_config(scenario: int, **overrides) -> ScenarioConfig:
             sigma_grid=tuple(np.arange(1.0, 6.01, 0.25).round(2)),
             budget=None,
         ),
-    }[scenario]
+    }.get(scenario, {})
     base.update(overrides)
     return ScenarioConfig(scenario=scenario, **base)
 
@@ -327,17 +328,18 @@ def elliptical_r0() -> float:
     return y ** (1.0 / 6.0)
 
 
-def elliptical_density(points, r0: float | None = None) -> np.ndarray:
-    """Two-piece heavy-tailed density, constant inside x^2/4 + y^2 < r0^2."""
-    if r0 is None:
-        r0 = elliptical_r0()
+R0 = elliptical_r0()
+
+
+def elliptical_density(points) -> np.ndarray:
+    """Two-piece heavy-tailed density, constant inside x^2/4 + y^2 < R0^2."""
     pts = as_points(points)
     if pts.shape[1] != 2:
         raise InputError("elliptical density is bivariate")
     s = pts[:, 0] ** 2 / 4.0 + pts[:, 1] ** 2
-    flat = 3.0 / (4.0 * math.pi) * r0**4 * (1.0 + r0**6) ** -1.5
+    flat = 3.0 / (4.0 * math.pi) * R0**4 * (1.0 + R0**6) ** -1.5
     tail = 3.0 * s**2 / (4.0 * math.pi * (1.0 + s**3) ** 1.5)
-    return np.where(s < r0**2, flat, tail)
+    return np.where(s < R0**2, flat, tail)
 
 
 def _proposal_density(s: np.ndarray) -> np.ndarray:
@@ -345,18 +347,18 @@ def _proposal_density(s: np.ndarray) -> np.ndarray:
     return (1.0 / (4.0 * math.pi)) * (1.0 + s) ** -1.5
 
 
-@lru_cache(maxsize=8)
-def _envelope_constant(r0: float) -> float:
-    s_in = np.linspace(0.0, r0**2, 20_001)
-    s_out = r0**2 * np.geomspace(1.0, 1e8, 20_001)
+@lru_cache(maxsize=1)
+def _envelope_constant() -> float:
+    s_in = np.linspace(0.0, R0**2, 20_001)
+    s_out = R0**2 * np.geomspace(1.0, 1e8, 20_001)
     s = np.concatenate([s_in, s_out])
     x = np.sqrt(4.0 * s)  # points (x, 0) with x^2/4 = s
-    ratio = elliptical_density(np.stack([x, np.zeros_like(x)], axis=1), r0)
+    ratio = elliptical_density(np.stack([x, np.zeros_like(x)], axis=1))
     ratio = ratio / _proposal_density(s)
     return float(ratio.max()) * 1.05
 
 
-def sample_elliptical(r0: float | None, n: int, seed=0) -> np.ndarray:
+def sample_elliptical(n: int, seed=0) -> np.ndarray:
     """Acceptance-rejection draws from the elliptical density.
 
     Proposal: T/|W| with T bivariate standard normal and W scalar normal
@@ -366,12 +368,8 @@ def sample_elliptical(r0: float | None, n: int, seed=0) -> np.ndarray:
     """
     if n < 1:
         raise InputError("need n >= 1 draws")
-    if r0 is None:
-        r0 = elliptical_r0()
-    if r0 <= 0:
-        raise InputError("r0 must be positive")
     rng = np.random.default_rng(seed)
-    M = _envelope_constant(r0)
+    M = _envelope_constant()
     out = []
     have = 0
     while have < n:
@@ -379,7 +377,7 @@ def sample_elliptical(r0: float | None, n: int, seed=0) -> np.ndarray:
         t = rng.standard_normal((m, 2)) / np.abs(rng.standard_normal((m, 1)))
         pts = t * np.array([2.0, 1.0])
         s = pts[:, 0] ** 2 / 4.0 + pts[:, 1] ** 2
-        ratio = elliptical_density(pts, r0) / (M * _proposal_density(s))
+        ratio = elliptical_density(pts) / (M * _proposal_density(s))
         if ratio.max() > 1.0 + 1e-12:
             raise RuntimeError("acceptance-rejection envelope violated")
         keep = rng.uniform(size=m) < ratio
@@ -445,15 +443,13 @@ def _sim1_data(cfg: ScenarioConfig, rng, delta):
     shift = shift_size if "location" in variant else 0.0
     factor = 1.0
     if "scale" in variant:
-        factor = (
-            math.sqrt(cfg.scale_multiplier) if cfg.scale_on_cov else cfg.scale_multiplier
-        )
+        factor = math.sqrt(SCALE) if cfg.scale_on_cov else SCALE
     half = cfg.n_test // 2
 
     def draw(m):
         if family == "normal":
             return rng.standard_normal((m, 2))
-        return sample_elliptical(None, m, seed=rng)
+        return sample_elliptical(m, seed=rng)
 
     train1 = draw(cfg.n_train)
     train2 = draw(cfg.n_train) * factor + shift
@@ -534,7 +530,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
     its row of the profiles.  An empty test set records NaN rates.
     """
     sweep = cfg.delta_grid if cfg.scenario in (2, 3) else (None,)
-    baseline = cfg.scenario == 3 and cfg.include_unfiltered_baseline
+    baseline = cfg.scenario == 3
     keys = [*cfg.sigma_grid, *(["baseline"] if baseline else [])]
     acc = {(k, delta): ([], []) for k in keys for delta in sweep}
     for rep in range(cfg.reps):

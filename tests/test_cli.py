@@ -8,6 +8,7 @@ import pytest
 
 from sigmadepth.cli import main, read_points_csv
 from sigmadepth.errors import InputError
+from sigmadepth.sim import default_config, run_scenario
 
 
 def write_csv(path, rows, header=None):
@@ -145,6 +146,22 @@ def test_exit_code_four_on_exact_cap(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "depth --data d.csv --query q.csv --approx 100 --seed -1",
+        "depth --data d.csv --query q.csv --seed -1",
+        "classify --train1 d.csv --train2 d.csv --test q.csv --approx 100 --seed -1",
+        "simulate --scenario 4 --seed -1",
+    ],
+)
+def test_exit_code_two_on_negative_seed(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "d.csv", np.random.default_rng(2).standard_normal((10, 2)))
+    write_csv(tmp_path / "q.csv", [[0.0, 0.0]])
+    assert main(argv.split()) == 2
+
+
 def test_argparse_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["depth", "--data", "x", "--query", "y", "--method", "bogus"])
@@ -240,6 +257,21 @@ def test_simulate_command_outputs_and_reruns_identically(tmp_path, monkeypatch):
         assert 0.0 <= row["mean"] <= 1.0
     assert main(argv) == 0
     assert (tmp_path / "sim4.csv").read_bytes() == first
+
+
+def test_simulate_scenario_three_runs_its_baseline(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = "simulate --scenario 3 --n 30 --reps 2 --sigma-grid 1,3 --delta 0.5,1 --budget 0 --seed 5"
+    assert main(argv.split()) == 0
+    cfg = default_config(
+        3, n_train=30, reps=2, sigma_grid=(1.0, 3.0), delta_grid=(0.5, 1.0), budget=None, master_seed=5
+    )
+    text = (tmp_path / "sim3.json").read_text()
+    assert text == run_scenario(cfg).to_json()
+    settings = {row["setting"] for row in json.loads(text)["rows"]}
+    assert "symmetric|baseline-full-training" in settings
+    sidecar = json.loads((tmp_path / "sim3.config.json").read_text())
+    assert sidecar["budget"] is None and sidecar["delta_grid"] == [0.5, 1.0]
 
 
 def test_simulate_rejects_unknown_scenario(tmp_path, monkeypatch):

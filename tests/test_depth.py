@@ -258,7 +258,8 @@ def test_full_transform_enumeration_kept_streamed_and_naive_agree(d, n, q, monke
     cfg = DepthConfig(method="dist_enlarged_full", sigma=2.0)
     kept = DepthEvaluator(data, cfg)
     monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
-    monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
+    # a chunk must hold one subset's whole pattern table; this one holds two
+    monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 2 * depth_module.full_pattern_count(d + 1))
     streamed = DepthEvaluator(data, cfg)
     assert kept._batches is not None and streamed._batches is None
     assert len(list(streamed._iter_batches())) > 1
@@ -443,6 +444,32 @@ def test_config_validation():
         DepthConfig(sigma=-1.0)
     with pytest.raises(InputError):
         DepthConfig(budget=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", None),
+        ("budget", True),
+        ("budget", 1.5),
+        ("budget", math.inf),
+        ("budget", math.nan),
+        ("exact_cap", math.nan),
+        ("exact_cap", math.inf),
+        ("exact_cap", 0),
+    ],
+)
+def test_config_rejects_bad_seeds_and_counts(field, value):
+    with pytest.raises(InputError):
+        DepthConfig(method="simplex_enlarged", **{field: value})
+
+
+def test_config_accepts_numpy_seeds_and_integral_counts():
+    cfg = DepthConfig(seed=np.int64(3), budget=np.int64(100), exact_cap=1e6)
+    assert cfg.seed == 3 and cfg.budget == 100
 
 
 def test_query_dimension_mismatch():

@@ -58,7 +58,6 @@ SCENARIOS = {
         reps=2,
         sigma_grid=(1.0, 3.0),
         delta_grid=(0.5, 1.0),
-        include_unfiltered_baseline=True,
         test_per_class=15,
         budget=1000,
     ),
@@ -69,7 +68,6 @@ SCENARIOS = {
         reps=2,
         sigma_grid=(1.0, 2.0),
         delta_grid=(1.0,),
-        include_unfiltered_baseline=True,
         test_per_class=0,
         budget=1000,
     ),

@@ -54,7 +54,7 @@ def test_density_flat_inside_ellipse():
 
 
 def test_sampler_matches_ellipse_mass_and_center():
-    draws = sample_elliptical(None, 100_000, seed=4)
+    draws = sample_elliptical(100_000, seed=4)
     s = draws[:, 0] ** 2 / 4.0 + draws[:, 1] ** 2
     empirical = float(np.mean(s < R0**2))
     # closed form: the flat part carries 1.5 y (1+y)^-1.5 of the mass
@@ -70,19 +70,17 @@ def test_sampler_envelope_holds_on_proposals():
     t = rng.standard_normal((m, 2)) / np.abs(rng.standard_normal((m, 1)))
     pts = t * np.array([2.0, 1.0])
     s = pts[:, 0] ** 2 / 4.0 + pts[:, 1] ** 2
-    M = _envelope_constant(R0)
+    M = _envelope_constant()
     ratio = elliptical_density(pts) / (M * _proposal_density(s))
     assert float(ratio.max()) <= 1.0
 
 
 def test_sampler_reproducible_and_guarded():
-    a = sample_elliptical(None, 500, seed=3)
-    b = sample_elliptical(None, 500, seed=3)
+    a = sample_elliptical(500, seed=3)
+    b = sample_elliptical(500, seed=3)
     assert np.array_equal(a, b)
     with pytest.raises(InputError):
-        sample_elliptical(None, 0)
-    with pytest.raises(InputError):
-        sample_elliptical(-1.0, 10)
+        sample_elliptical(0)
 
 
 def test_band_filter_examples():
@@ -209,7 +207,6 @@ def test_scenario_three_baseline_rows_present():
         reps=2,
         sigma_grid=(3.0,),
         delta_grid=(1.0,),
-        include_unfiltered_baseline=True,
         test_per_class=40,
         draw_cap=100_000,
     )
