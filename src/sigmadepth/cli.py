@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -23,7 +24,7 @@ from .depth import METHODS, DepthConfig, DepthEvaluator
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import DEFAULT_EPS, GeomTolerance
 from .sigma import DiscreteDistribution
-from .sim import default_config, full_scale_config, run_scenario
+from .sim import ScenarioConfig, default_config, full_scale_config, run_scenario
 from .symmetry import (
     check_angular_symmetry,
     check_central_symmetry,
@@ -145,13 +146,11 @@ def _cmd_classify(args) -> int:
 def _cmd_simulate(args) -> int:
     make = full_scale_config if args.full_scale else default_config
     # the flags named after a ScenarioConfig field override it when given
-    fields = (
-        "setting", "n_train", "n_test", "reps", "sigma_grid", "delta_grid", "classifier", "degree", "budget"
-    )
-    overrides = {k: getattr(args, k) for k in fields if getattr(args, k) is not None}
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if args.budget is not None and args.budget <= 0:
         overrides["budget"] = None  # exact depth
-    cfg = make(args.scenario, master_seed=args.seed, **overrides)
+    cfg = make(**overrides)
     table = run_scenario(cfg)
     prefix = args.out if args.out is not None else f"sim{args.scenario}"
     Path(f"{prefix}.csv").write_text(table.to_csv())
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-scale", action="store_true", help="publication-size runs (slow)"
     )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="output prefix")
     p.set_defaults(func=_cmd_simulate)
 

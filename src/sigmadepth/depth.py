@@ -59,6 +59,11 @@ def _is_count(value) -> bool:
     )
 
 
+def _is_int(value, least: int) -> bool:
+    """A Python or NumPy integer >= least; a bool is a flag, not a number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class DepthConfig:
     method: str = "simplicial"
@@ -78,7 +83,7 @@ class DepthConfig:
             raise InputError(f"budget must be a positive integer, got {self.budget!r}")
         if not _is_count(self.exact_cap):
             raise InputError(f"exact_cap must be a positive integer, got {self.exact_cap!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed, 0):
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.tol, GeomTolerance):
             raise InputError("tol must be a GeomTolerance")

@@ -174,6 +174,12 @@ def sigma_covariance_factor(d: int, sigma: float) -> float:
     return sigma**2 + (1.0 - sigma**2) / (d + 1)
 
 
+def _merged(pts: np.ndarray, wts: np.ndarray) -> DiscreteDistribution:
+    """Merge coincident atoms, renormalizing away rounding before the sum check."""
+    pts, wts = merge_close_points(pts, wts)
+    return DiscreteDistribution(pts, wts / wts.sum())
+
+
 def discrete_sigma_transform(
     P: DiscreteDistribution, sigma: float, cap: int = DEFAULT_TUPLE_CAP
 ) -> DiscreteDistribution:
@@ -205,10 +211,7 @@ def discrete_sigma_transform(
         out_pts[start : start + len(ids)] = _combine_blocks(sup[digits], sigma)
         out_wts[start : start + len(ids)] = np.prod(wts[digits], axis=1)
 
-    merged_pts, merged_wts = merge_close_points(out_pts, out_wts)
-    # Renormalize away accumulated rounding before the constructor's sum check.
-    merged_wts = merged_wts / merged_wts.sum()
-    return DiscreteDistribution(merged_pts, merged_wts)
+    return _merged(out_pts, out_wts)
 
 
 def discrete_convolution(
@@ -228,11 +231,7 @@ def discrete_convolution(
         raise ResourceCapError(f"support product {kp}*{kq} exceeds the cap {cap}")
     pts = (a * P.support)[:, None, :] + (b * Q.support)[None, :, :]
     wts = P.weights[:, None] * Q.weights[None, :]
-    merged_pts, merged_wts = merge_close_points(
-        pts.reshape(kp * kq, P.dim), wts.ravel()
-    )
-    merged_wts = merged_wts / merged_wts.sum()
-    return DiscreteDistribution(merged_pts, merged_wts)
+    return _merged(pts.reshape(kp * kq, P.dim), wts.ravel())
 
 
 def affine_image(P: DiscreteDistribution, scale, shift) -> DiscreteDistribution:
@@ -247,6 +246,4 @@ def affine_image(P: DiscreteDistribution, scale, shift) -> DiscreteDistribution:
         pts = P.support @ scale.T + shift
     else:
         raise InputError("scale must be a scalar or a (d, d) matrix")
-    merged_pts, merged_wts = merge_close_points(pts, P.weights)
-    merged_wts = merged_wts / merged_wts.sum()
-    return DiscreteDistribution(merged_pts, merged_wts)
+    return _merged(pts, P.weights)

@@ -18,7 +18,9 @@ Scenario sketch (all rates are misclassification rates):
 
 `run_scenario` is the one simulation loop.  Only the data differ between
 scenarios: one data function per scenario draws both training sets and the
-labelled test set.  Every replication derives its generator from
+labelled test set, n_test // 2 points of class 1 and the rest of class 2.
+Each scenario's settings are listed in SETTINGS, and only scenarios 2 and 3
+sweep a delta grid.  Every replication derives its generator from
 (master_seed, scenario, rep index, sweep index), so tables are bit-identical
 across reruns and do not depend on evaluation order.
 """
@@ -36,12 +38,13 @@ import numpy as np
 
 from .classify import (
     CLASSIFIERS,
+    MAX_DEGREE,
     classify_points,
     depth_rows,
     misclassification_rate,
     outsider_mask,
 )
-from .depth import DepthConfig, DepthEvaluator
+from .depth import METHODS, DepthConfig, DepthEvaluator, _is_count, _is_int
 from .errors import InputError
 from .geometry import as_points
 
@@ -68,6 +71,13 @@ SIM1_SETTINGS = (
     "elliptical_location_scale",
 )
 BANDS = ("symmetric", "asymmetric")
+SETTINGS = {1: SIM1_SETTINGS, 2: BANDS, 3: BANDS, 4: ("uniform_quartet",)}
+# Draws per class after which scenario 3 stops filling its in-band test set.
+DRAW_CAP = 10**6
+# smallest_covering_sigma's search: first probe, largest bracket, final width.
+COVER_LO = 1.0
+COVER_HI_CAP = 64.0
+COVER_TOL = 1e-3
 
 # Location shifts per coordinate: 2 for the normal pairs, 4 for the
 # heavier-tailed elliptical pairs (whose clouds are wider).
@@ -95,32 +105,32 @@ class ScenarioConfig:
     method: str = "simplex_enlarged"
     master_seed: int = 0
     scale_on_cov: bool = False
-    test_per_class: int = 100
-    draw_cap: int = 10**6
 
     def __post_init__(self):
-        if self.scenario not in (1, 2, 3, 4):
+        if not _is_int(self.scenario, 1) or self.scenario not in SETTINGS:
             raise InputError("scenario must be 1, 2, 3 or 4")
-        if self.reps < 1:
-            raise InputError("reps must be >= 1")
+        # scenario 3 may draw an empty test set; its rows are then NaN
+        least = dict(n_train=1, n_test=0 if self.scenario == 3 else 1, reps=1, degree=1, master_seed=0)
+        for name, lo in least.items():
+            value = getattr(self, name)
+            if not _is_int(value, lo):
+                raise InputError(f"{name} must be an integer >= {lo}, got {value!r}")
+        if self.degree > MAX_DEGREE:
+            raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
+        if self.budget is not None and not _is_count(self.budget):
+            raise InputError(f"budget must be a positive integer, got {self.budget!r}")
+        if self.method not in METHODS:
+            raise InputError(f"method must be one of {METHODS}")
         if len(self.sigma_grid) == 0:
             raise InputError("sigma_grid must be nonempty")
         if self.classifier not in CLASSIFIERS:
             raise InputError(f"classifier must be one of {CLASSIFIERS}")
-        if self.master_seed < 0:
-            raise InputError("master_seed must be nonnegative")
-        # scenario 3 sizes its test set by test_per_class instead
-        if self.scenario != 3 and self.n_test < 1:
-            raise InputError("n_test must be >= 1")
-        if self.scenario == 1 and self.setting not in SIM1_SETTINGS:
-            raise InputError(f"scenario 1 setting must be one of {SIM1_SETTINGS}")
-        if self.scenario in (2, 3):
-            if self.setting not in BANDS:
-                raise InputError("scenario 2/3 setting must be symmetric|asymmetric")
-            if len(self.delta_grid) == 0:
-                raise InputError("scenario 2/3 needs a delta_grid")
-            if min(self.delta_grid) <= 0:
-                raise InputError("delta values must be positive")
+        if self.setting not in SETTINGS[self.scenario]:
+            raise InputError(f"scenario {self.scenario} setting must be one of {SETTINGS[self.scenario]}")
+        if (self.scenario in (2, 3)) != bool(self.delta_grid):
+            raise InputError("scenarios 2 and 3 need a delta_grid; the others take none")
+        if self.delta_grid and min(self.delta_grid) <= 0:
+            raise InputError("delta values must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,27 +233,20 @@ class ResultTable:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.scenario,
-                    r.setting,
-                    repr(float(r.sigma_or_delta)),
-                    repr(r.mean),
-                    repr(r.sd),
-                    repr(r.outsider_mean),
-                    repr(r.outsider_sd),
-                    r.reps,
-                ]
-            )
+        for rec in self._records():
+            w.writerow([rec[c] for c in self.CSV_COLUMNS])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        rows = [
+        return json.dumps({"rows": self._records()}, indent=1)
+
+    def _records(self) -> list:
+        """One dict per row: the CSV columns, then the JSON-only statistics."""
+        return [
             {
                 "scenario": r.scenario,
                 "setting": r.setting,
-                "sigma_or_delta": r.sigma_or_delta,
+                "sigma_or_delta": float(r.sigma_or_delta),
                 "mean": r.mean,
                 "sd": r.sd,
                 "outsider_mean": r.outsider_mean,
@@ -257,7 +260,6 @@ class ResultTable:
             }
             for r in self.rows
         ]
-        return json.dumps({"rows": rows}, indent=1)
 
 
 def default_config(scenario: int, **overrides) -> ScenarioConfig:
@@ -278,6 +280,7 @@ def default_config(scenario: int, **overrides) -> ScenarioConfig:
             setting="symmetric",
             sigma_grid=(1.0, 1.5, 3.0, 5.0),
             delta_grid=tuple(np.arange(0.25, 1.76, 0.25).round(2)),
+            n_test=200,
             reps=10,
         ),
         4: dict(
@@ -471,12 +474,12 @@ def _sim2_data(cfg: ScenarioConfig, rng, delta):
     return train1, train2, test, _truth(half, cfg.n_test - half)
 
 
-def _accumulate_inside(rng, mean, band, delta, target, cap):
+def _accumulate_inside(rng, mean, band, delta, target):
     got = []
     have = 0
     drawn = 0
-    while have < target and drawn < cap:
-        m = int(min(max(2048, 4 * (target - have)), cap - drawn))
+    while have < target and drawn < DRAW_CAP:
+        m = int(min(max(2048, 4 * (target - have)), DRAW_CAP - drawn))
         pts = rng.standard_normal((m, 2)) + mean
         drawn += m
         inside, _ = band_filter(pts, band, delta)
@@ -490,12 +493,9 @@ def _sim3_data(cfg: ScenarioConfig, rng, delta):
     """Unfiltered training draws; run_scenario drops the ones inside the band."""
     raw1 = rng.standard_normal((cfg.n_train, 2)) + [-2.0, 0.0]
     raw2 = rng.standard_normal((cfg.n_train, 2)) + [2.0, 0.0]
-    test1 = _accumulate_inside(
-        rng, [-2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
-    )
-    test2 = _accumulate_inside(
-        rng, [2.0, 0.0], cfg.setting, delta, cfg.test_per_class, cfg.draw_cap
-    )
+    half = cfg.n_test // 2
+    test1 = _accumulate_inside(rng, [-2.0, 0.0], cfg.setting, delta, half)
+    test2 = _accumulate_inside(rng, [2.0, 0.0], cfg.setting, delta, cfg.n_test - half)
     return raw1, raw2, np.vstack([test1, test2]), _truth(len(test1), len(test2))
 
 
@@ -581,33 +581,24 @@ def run_scenario(cfg: ScenarioConfig) -> ResultTable:
                     )
                     for col, rate in zip(acc[(key, delta)], _rates(pred, truth, mask)):
                         col.append(rate)
-    # Only scenario 4 may leave the setting empty.
-    setting = cfg.setting or "uniform_quartet"
     rows = []
     for (key, delta), (r, o) in acc.items():
         if delta is None:
-            rows.append(ResultRow(cfg.scenario, setting, key, np.array(r), np.array(o)))
+            rows.append(ResultRow(cfg.scenario, cfg.setting, key, np.array(r), np.array(o)))
             continue
         label = "baseline-full-training" if key == "baseline" else f"sigma={key:g}"
         rows.append(
-            ResultRow(cfg.scenario, f"{setting}|{label}", delta, np.array(r), np.array(o))
+            ResultRow(cfg.scenario, f"{cfg.setting}|{label}", delta, np.array(r), np.array(o))
         )
     return ResultTable(rows)
 
 
-def smallest_covering_sigma(
-    train1,
-    train2,
-    X,
-    cfg: DepthConfig | None = None,
-    lo: float = 1.0,
-    hi_cap: float = 64.0,
-    tol: float = 1e-3,
-) -> float:
+def smallest_covering_sigma(train1, train2, X, cfg: DepthConfig | None = None) -> float:
     """Smallest sigma giving every query positive depth for some class.
 
     Uses that positive depth is monotone in sigma for the simplex-dilated
-    method: doubling finds a bracket, bisection refines it.  One evaluator
+    method: doubling from COVER_LO finds a bracket below COVER_HI_CAP, and
+    bisection refines it to a width of COVER_TOL.  One evaluator
     per class, built once, answers every probe through `depth_profile`,
     with the same values as fresh evaluators at each sigma.  This is the
     practical sigma-selection rule suggested by the interval-support
@@ -626,14 +617,15 @@ def smallest_covering_sigma(
         v2 = ev2.depth_profile(X, [sig])[0]
         return bool(np.maximum(v1, v2).min() > 0.0)
 
+    lo = COVER_LO
     if covered(lo):
         return lo
-    hi = max(2.0 * lo, 2.0)
+    hi = 2.0 * lo
     while not covered(hi):
         hi *= 2.0
-        if hi > hi_cap:
-            raise InputError(f"no covering sigma found up to {hi_cap}")
-    while hi - lo > tol:
+        if hi > COVER_HI_CAP:
+            raise InputError(f"no covering sigma found up to {COVER_HI_CAP}")
+    while hi - lo > COVER_TOL:
         mid = (lo + hi) / 2.0
         if covered(mid):
             hi = mid

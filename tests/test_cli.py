@@ -279,6 +279,31 @@ def test_simulate_rejects_unknown_scenario(tmp_path, monkeypatch):
     assert main(["simulate", "--scenario", "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --scenario 1 --delta 1",
+        "simulate --scenario 4 --delta 1",
+        "simulate --scenario 4 --setting foo",
+    ],
+)
+def test_simulate_rejects_inputs_before_running(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_scenario_three_reads_n_test(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = "simulate --scenario 3 --n 20 --reps 1 --sigma-grid 1 --delta 1 --budget 0".split()
+    tables = []
+    for n_test in ("7", "700"):
+        assert main([*argv, "--n-test", n_test, "--out", n_test]) == 0
+        assert json.loads((tmp_path / f"{n_test}.config.json").read_text())["n_test"] == int(n_test)
+        tables.append((tmp_path / f"{n_test}.json").read_text())
+    assert tables[0] != tables[1]
+
+
 def test_symmetry_command_with_packaged_fixture(tmp_path):
     from importlib.resources import files
 

@@ -58,7 +58,7 @@ SCENARIOS = {
         reps=2,
         sigma_grid=(1.0, 3.0),
         delta_grid=(0.5, 1.0),
-        test_per_class=15,
+        n_test=30,
         budget=1000,
     ),
     "sim3_empty_test": dict(
@@ -68,7 +68,7 @@ SCENARIOS = {
         reps=2,
         sigma_grid=(1.0, 2.0),
         delta_grid=(1.0,),
-        test_per_class=0,
+        n_test=0,
         budget=1000,
     ),
     "sim4_maxdepth": dict(scenario=4, **SMALL, sigma_grid=(1.0, 2.0, 3.0)),

@@ -137,9 +137,39 @@ def test_config_validation():
         ScenarioConfig(scenario=3, setting="symmetric", delta_grid=())
     with pytest.raises(InputError):
         ScenarioConfig(scenario=1, setting="normal_location", reps=0)
-    for scenario, setting in ((1, "normal_location"), (2, "symmetric"), (4, "")):
+    with pytest.raises(InputError):
+        ScenarioConfig(scenario=1, setting="normal_location", delta_grid=(1.0,))
+    with pytest.raises(InputError):
+        ScenarioConfig(scenario=4, setting="foo")
+    for scenario, setting, deltas in (
+        (1, "normal_location", ()),
+        (2, "symmetric", (1.0,)),
+        (4, "uniform_quartet", ()),
+    ):
+        ScenarioConfig(scenario=scenario, setting=setting, delta_grid=deltas)
         with pytest.raises(InputError):
-            ScenarioConfig(scenario=scenario, setting=setting, delta_grid=(1.0,), n_test=0)
+            ScenarioConfig(scenario=scenario, setting=setting, delta_grid=deltas, n_test=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("master_seed", 1.5),
+        ("master_seed", True),
+        ("reps", 1.5),
+        ("n_train", 10.0),
+        ("n_train", 0),
+        ("n_test", 31.5),
+        ("degree", 2.0),
+        ("degree", 11),
+        ("budget", 0.5),
+        ("budget", True),
+        ("method", "bogus"),
+    ],
+)
+def test_config_rejects_bad_fields_before_running(field, value):
+    with pytest.raises(InputError, match=field):
+        default_config(4, **{field: value})
 
 
 def test_result_row_aggregates():
@@ -203,12 +233,10 @@ def test_scenario_three_baseline_rows_present():
     cfg = default_config(
         3,
         n_train=40,
-        n_test=0,
+        n_test=80,
         reps=2,
         sigma_grid=(3.0,),
         delta_grid=(1.0,),
-        test_per_class=40,
-        draw_cap=100_000,
     )
     table = run_scenario(cfg)
     names = set(table.settings())
