@@ -17,6 +17,7 @@ reflected atoms.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,9 @@ def point_mass(point) -> DiscreteDistribution:
 
 
 def check_sigma(sigma: float) -> float:
+    # a bool is a flag, not a number
+    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
+        raise InputError(f"sigma must be a real number, got {sigma!r}")
     sigma = float(sigma)
     if not (np.isfinite(sigma) and sigma > 0):
         raise InputError(f"sigma must be finite and > 0, got {sigma}")

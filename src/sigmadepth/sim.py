@@ -11,8 +11,8 @@ Scenario sketch (all rates are misclassification rates):
    (-4,0) and (4,0)), classify draws from the inner pair, sweeping the
    inner separation delta.
 3. Missing-data bands: two normals with means (-2,0) and (2,0); training
-   keeps only draws outside a vertical band, testing accumulates draws
-   inside it, and a baseline arm at sigma 1 trains on the unfiltered draws.
+   keeps only draws outside a vertical band, the test set is drawn inside
+   it, and a baseline arm at sigma 1 trains on the unfiltered draws.
 4. Four adjacent unit intervals on the line: train on the outer two,
    classify the inner two, sweeping the enlargement factor sigma.
 
@@ -32,7 +32,6 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .classify import (
     misclassification_rate,
     outsider_mask,
 )
-from .depth import METHODS, DepthConfig, DepthEvaluator, _is_count, _is_int
+from .depth import DepthConfig, DepthEvaluator, _is_int
 from .errors import InputError
 from .geometry import as_points
 
@@ -72,8 +71,6 @@ SIM1_SETTINGS = (
 )
 BANDS = ("symmetric", "asymmetric")
 SETTINGS = {1: SIM1_SETTINGS, 2: BANDS, 3: BANDS, 4: ("uniform_quartet",)}
-# Draws per class after which scenario 3 stops filling its in-band test set.
-DRAW_CAP = 10**6
 # smallest_covering_sigma's search: first probe, largest bracket, final width.
 COVER_LO = 1.0
 COVER_HI_CAP = 64.0
@@ -83,8 +80,7 @@ COVER_TOL = 1e-3
 # heavier-tailed elliptical pairs (whose clouds are wider).
 NORMAL_SHIFT = 2.0
 ELLIPTICAL_SHIFT = 4.0
-# Scale alternative: class 2's coordinates (or, with scale_on_cov, its
-# covariance) multiplied by this factor.
+# Scale alternative: class 2's coordinates multiplied by this factor.
 SCALE = 3.0
 
 
@@ -104,7 +100,6 @@ class ScenarioConfig:
     budget: int | None = 20_000
     method: str = "simplex_enlarged"
     master_seed: int = 0
-    scale_on_cov: bool = False
 
     def __post_init__(self):
         if not _is_int(self.scenario, 1) or self.scenario not in SETTINGS:
@@ -117,19 +112,17 @@ class ScenarioConfig:
                 raise InputError(f"{name} must be an integer >= {lo}, got {value!r}")
         if self.degree > MAX_DEGREE:
             raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
-        if self.budget is not None and not _is_count(self.budget):
-            raise InputError(f"budget must be a positive integer, got {self.budget!r}")
-        if self.method not in METHODS:
-            raise InputError(f"method must be one of {METHODS}")
         if len(self.sigma_grid) == 0:
             raise InputError("sigma_grid must be nonempty")
+        for sigma in self.sigma_grid:
+            _depth_cfg(self, sigma, seed=0)  # checks method, budget and sigma
         if self.classifier not in CLASSIFIERS:
             raise InputError(f"classifier must be one of {CLASSIFIERS}")
         if self.setting not in SETTINGS[self.scenario]:
             raise InputError(f"scenario {self.scenario} setting must be one of {SETTINGS[self.scenario]}")
         if (self.scenario in (2, 3)) != bool(self.delta_grid):
             raise InputError("scenarios 2 and 3 need a delta_grid; the others take none")
-        if self.delta_grid and min(self.delta_grid) <= 0:
+        if not all(delta > 0 for delta in self.delta_grid):
             raise InputError("delta values must be positive")
 
     def to_dict(self) -> dict:
@@ -345,52 +338,38 @@ def elliptical_density(points) -> np.ndarray:
     return np.where(s < R0**2, flat, tail)
 
 
-def _proposal_density(s: np.ndarray) -> np.ndarray:
-    # spherical bivariate t with 1 df, post-scaled by diag(2, 1)
-    return (1.0 / (4.0 * math.pi)) * (1.0 + s) ** -1.5
-
-
-@lru_cache(maxsize=1)
-def _envelope_constant() -> float:
-    s_in = np.linspace(0.0, R0**2, 20_001)
-    s_out = R0**2 * np.geomspace(1.0, 1e8, 20_001)
-    s = np.concatenate([s_in, s_out])
-    x = np.sqrt(4.0 * s)  # points (x, 0) with x^2/4 = s
-    ratio = elliptical_density(np.stack([x, np.zeros_like(x)], axis=1))
-    ratio = ratio / _proposal_density(s)
-    return float(ratio.max()) * 1.05
-
-
 def sample_elliptical(n: int, seed=0) -> np.ndarray:
-    """Acceptance-rejection draws from the elliptical density.
+    """Exact draws from the elliptical density by inversion.
 
-    Proposal: T/|W| with T bivariate standard normal and W scalar normal
-    (a spherical 1-df t), then scaled by diag(2, 1) so proposal level sets
-    match the target's.  A proposal/target ratio above the precomputed
-    envelope is a hard error rather than a silent bias.
+    The density depends on s = x^2/4 + y^2 alone, and s has survival
+    function P(s > t) = 1 - (1 - q) t / R0^2 below R0^2 (the flat part) and
+    (1 + t^3)^(-1/2) above it, with tail mass q = (1 + R0^6)^(-1/2).  One
+    uniform v in (0, 1] inverts it; a second gives the uniform angle theta,
+    and the point is (2 sqrt(s) cos theta, sqrt(s) sin theta).
     """
-    if n < 1:
-        raise InputError("need n >= 1 draws")
+    if not _is_int(n, 1):
+        raise InputError(f"need an integer n >= 1 draws, got {n!r}")
     rng = np.random.default_rng(seed)
-    M = _envelope_constant()
-    out = []
-    have = 0
-    while have < n:
-        m = max(2048, int(1.5 * (n - have) * M))
-        t = rng.standard_normal((m, 2)) / np.abs(rng.standard_normal((m, 1)))
-        pts = t * np.array([2.0, 1.0])
-        s = pts[:, 0] ** 2 / 4.0 + pts[:, 1] ** 2
-        ratio = elliptical_density(pts) / (M * _proposal_density(s))
-        if ratio.max() > 1.0 + 1e-12:
-            raise RuntimeError("acceptance-rejection envelope violated")
-        keep = rng.uniform(size=m) < ratio
-        out.append(pts[keep])
-        have += int(keep.sum())
-    return np.vstack(out)[:n]
+    u = rng.random((n, 2))
+    v = 1.0 - u[:, 0]
+    q = (1.0 + R0**6) ** -0.5
+    s = np.where(v <= q, np.cbrt(v**-2.0 - 1.0), R0**2 * (1.0 - v) / (1.0 - q))
+    theta = 2.0 * math.pi * u[:, 1]
+    r = np.sqrt(s)
+    return np.column_stack([2.0 * r * np.cos(theta), r * np.sin(theta)])
 
 
 # ---------------------------------------------------------------------------
 # scenario machinery
+
+
+def _band_bounds(band: str, delta: float):
+    """(lo, hi) of the closed band: [-delta, delta] or, asymmetric, [-delta, 0]."""
+    if band not in BANDS:
+        raise InputError("band must be symmetric|asymmetric")
+    if not delta > 0:
+        raise InputError(f"delta must be positive, got {delta!r}")
+    return -delta, (delta if band == "symmetric" else 0.0)
 
 
 def band_filter(points, band: str, delta: float):
@@ -402,13 +381,9 @@ def band_filter(points, band: str, delta: float):
     pts = as_points(points)
     if pts.shape[1] != 2:
         raise InputError("band_filter expects bivariate points")
-    if band not in BANDS:
-        raise InputError("band must be symmetric|asymmetric")
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    lo, hi = _band_bounds(band, delta)
     x = pts[:, 0]
-    upper = delta if band == "symmetric" else 0.0
-    inside = (x >= -delta) & (x <= upper)
+    inside = (x >= lo) & (x <= hi)
     return pts[inside], pts[~inside]
 
 
@@ -419,7 +394,7 @@ def _rep_rng(cfg: ScenarioConfig, rep: int, sweep: int):
 
 
 def _depth_cfg(cfg: ScenarioConfig, sigma: float, seed: int) -> DepthConfig:
-    return DepthConfig(method=cfg.method, sigma=float(sigma), budget=cfg.budget, seed=seed)
+    return DepthConfig(method=cfg.method, sigma=sigma, budget=cfg.budget, seed=seed)
 
 
 def _rates(pred, truth, omask):
@@ -444,9 +419,7 @@ def _sim1_data(cfg: ScenarioConfig, rng, delta):
     family, _, variant = cfg.setting.partition("_")
     shift_size = NORMAL_SHIFT if family == "normal" else ELLIPTICAL_SHIFT
     shift = shift_size if "location" in variant else 0.0
-    factor = 1.0
-    if "scale" in variant:
-        factor = math.sqrt(SCALE) if cfg.scale_on_cov else SCALE
+    factor = SCALE if "scale" in variant else 1.0
     half = cfg.n_test // 2
 
     def draw(m):
@@ -474,19 +447,18 @@ def _sim2_data(cfg: ScenarioConfig, rng, delta):
     return train1, train2, test, _truth(half, cfg.n_test - half)
 
 
-def _accumulate_inside(rng, mean, band, delta, target):
-    got = []
-    have = 0
-    drawn = 0
-    while have < target and drawn < DRAW_CAP:
-        m = int(min(max(2048, 4 * (target - have)), DRAW_CAP - drawn))
-        pts = rng.standard_normal((m, 2)) + mean
-        drawn += m
-        inside, _ = band_filter(pts, band, delta)
-        got.append(inside)
-        have += len(inside)
-    pts = np.vstack(got) if got else np.empty((0, 2))
-    return pts[:target]
+def _draw_in_band(rng, mean: float, band: str, delta: float, n: int) -> np.ndarray:
+    """n draws of N((mean, 0), I) conditioned on the band, by inversion.
+
+    x follows the normal truncated to [lo, hi], clipped so that rounding
+    never leaves the closed band; y is standard normal.
+    """
+    from scipy.special import ndtr, ndtri
+
+    lo, hi = _band_bounds(band, delta)
+    a, b = ndtr(lo - mean), ndtr(hi - mean)
+    x = np.clip(mean + ndtri(a + rng.random(n) * (b - a)), lo, hi)
+    return np.column_stack([x, rng.standard_normal(n)])
 
 
 def _sim3_data(cfg: ScenarioConfig, rng, delta):
@@ -494,9 +466,9 @@ def _sim3_data(cfg: ScenarioConfig, rng, delta):
     raw1 = rng.standard_normal((cfg.n_train, 2)) + [-2.0, 0.0]
     raw2 = rng.standard_normal((cfg.n_train, 2)) + [2.0, 0.0]
     half = cfg.n_test // 2
-    test1 = _accumulate_inside(rng, [-2.0, 0.0], cfg.setting, delta, half)
-    test2 = _accumulate_inside(rng, [2.0, 0.0], cfg.setting, delta, cfg.n_test - half)
-    return raw1, raw2, np.vstack([test1, test2]), _truth(len(test1), len(test2))
+    test1 = _draw_in_band(rng, -2.0, cfg.setting, delta, half)
+    test2 = _draw_in_band(rng, 2.0, cfg.setting, delta, cfg.n_test - half)
+    return raw1, raw2, np.vstack([test1, test2]), _truth(half, cfg.n_test - half)
 
 
 def _sim4_data(cfg: ScenarioConfig, rng, delta):

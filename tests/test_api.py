@@ -58,9 +58,11 @@ def test_perfbench_tracer_targets_resolve():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """The package and its CLI import without scipy.optimize; only the LP and the fits need it."""
+    """The package and its CLI import without scipy.optimize or scipy.special; only the LP,
+    the fits and the scenario-3 band draws need them."""
     src = str(Path(sigmadepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, sigmadepth, sigmadepth.cli; print('scipy.optimize' in sys.modules)"
+    mods = ("scipy.optimize", "scipy.special")
+    code = f"import sys, sigmadepth, sigmadepth.cli; print([m in sys.modules for m in {mods!r}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

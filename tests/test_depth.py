@@ -460,6 +460,9 @@ def test_config_validation():
         ("exact_cap", math.nan),
         ("exact_cap", math.inf),
         ("exact_cap", 0),
+        ("sigma", "a"),
+        ("sigma", None),
+        ("sigma", True),
     ],
 )
 def test_config_rejects_bad_seeds_and_counts(field, value):

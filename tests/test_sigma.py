@@ -41,7 +41,7 @@ def test_sigma_combine_block_size_check():
         sigma_combine([[0.0, 0.0], [1.0, 1.0]], 2.0)  # 2 points in R^2
 
 
-@pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan, np.inf])
+@pytest.mark.parametrize("sigma", [0.0, -2.0, np.nan, np.inf, "a", None])
 def test_sigma_combine_rejects_bad_sigma(sigma):
     with pytest.raises(InputError):
         sigma_combine([[0.0], [1.0]], sigma)
