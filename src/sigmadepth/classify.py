@@ -272,21 +272,23 @@ def classify_points(
 
 def _hull_contains_mask(train, X, tol: GeomTolerance):
     d = train.shape[1]
-    if d == 1:
-        lo = train[:, 0].min() - tol.eps
-        hi = train[:, 0].max() + tol.eps
-        return (X[:, 0] >= lo) & (X[:, 0] <= hi)
-    try:
+    if d > 1:
         from scipy.spatial import ConvexHull, QhullError
 
-        hull = ConvexHull(train)
-        normals = hull.equations[:, :d]
-        offsets = hull.equations[:, d]
-        dist = X @ normals.T + offsets
-        return (dist <= tol.eps + 1e-12).all(axis=1)
-    except QhullError:
-        # degenerate training cloud (collinear etc.): screened hull LP
-        return convex_hull_contains_many(train, X, tol)
+        try:
+            hull = ConvexHull(train)
+        except QhullError:
+            # Qhull rejects flat clouds, and also clouds flat only within its
+            # own precision.  Where every point lies on the segment between the
+            # lexicographic extremes, that segment, a flat triangle, is the hull.
+            if d == 2:
+                seg = train[np.lexsort(train.T[::-1])][[0, -1, -1]]
+                if convex_hull_contains_many(seg, train, GeomTolerance(eps=0.0)).all():
+                    train = seg
+        else:
+            dist = X @ hull.equations[:, :d].T + hull.equations[:, d]
+            return (dist <= tol.eps + 1e-12).all(axis=1)
+    return convex_hull_contains_many(train, X, tol)
 
 
 def outsider_mask(train1, train2, test, tol: GeomTolerance | None = None):

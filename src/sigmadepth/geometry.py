@@ -8,11 +8,10 @@ point exactly on a facet counts as inside regardless of rounding.
 Degenerate (affinely dependent) simplices are legal: containment then
 falls back to convex-hull membership of the vertex set, so duplicated
 data points behave deterministically.  Hull membership means sup-norm
-distance at most eps, in data units.  A point-like vertex set is decided
-by the distance to its first vertex.  Otherwise two cheap lower bounds
-on the distance (the gap to the vertices' bounding box and to their
-affine span) rule out far queries, and the hull LP runs only for the
-queries they cannot rule out, so it still makes every "inside" decision.
+distance at most eps, in data units.  In 1-D that is the interval rule,
+and for a 2-D triangle, flat or not, the distance has a closed form;
+other vertex sets, in practice those with d >= 3, go to the hull LP,
+one query at a time.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
         raise InputError(f"point dim {x.size} != hull dim {d}")
 
     if d == 1:
-        return pts.min() - tol.eps <= x[0] <= pts.max() + tol.eps
+        return bool(_hulls_contain(pts[None], x[None], tol.eps)[0, 0])
 
     from scipy.optimize import linprog
 
@@ -221,52 +220,46 @@ def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -
     return _hulls_contain(pts[None], X, tol.eps)[0]
 
 
-# Relative margin on the screening bounds.  It covers the rounding in the
-# bounds and HiGHS's own feasibility tolerance, so a query the screen rules
-# out is one the LP would reject too.
-_SCREEN_RTOL = 1e-6
-
-
-def _hull_distance_lower_bounds(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Lower bounds (m, q) on the sup-norm distance from X (q, d) to each hull of V (m, k, d).
-
-    Each bound is the larger of the gap to the vertices' bounding box and
-    the gap to their affine span.  For any direction n, every hull point y
-    has |n.(y - v_0)| <= max_i |n.(v_i - v_0)|, and |n.(x - y)| <=
-    |n|_1 |x - y|_inf, so (|n.(x - v_0)| - max_i |n.(v_i - v_0)|) / |n|_1
-    bounds the distance for any n, however rounded.  The right-singular
-    vectors of the edge vectors v_i - v_0 serve as directions; those normal
-    to the span give the gap.
-    """
-    lo, hi = V.min(axis=1), V.max(axis=1)
-    box = np.maximum(lo[:, None] - X, X - hi[:, None]).max(axis=2)
-    E = V[:, 1:] - V[:, :1]
-    # Eigenvectors of the d x d Gram matrix: the right-singular vectors of E,
-    # one direction per column, without E's k x k left factor.
-    N = np.linalg.eigh(E.transpose(0, 2, 1) @ E)[1]
-    reach = np.abs(E @ N).max(axis=1)
-    proj = np.abs((X[None] - V[:, :1]) @ N)
-    span = ((proj - reach[:, None]) / np.abs(N).sum(axis=1)[:, None]).max(axis=2)
-    return np.maximum(box, span)
-
-
 def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d)."""
-    inside = np.zeros((len(V), len(X)), dtype=bool)
-    if not len(X):
-        return inside
-    point = np.abs(V - V[:, :1]).max(axis=(1, 2)) <= 1e-12
-    # Point-like set: sup-norm distance test, no LP needed.
-    inside[point] = np.abs(X - V[point, :1]).max(axis=2) <= eps
-    rest = np.flatnonzero(~point)
-    if not len(rest):
-        return inside
-    bound = _hull_distance_lower_bounds(V[rest], X)
-    coord = np.maximum(np.abs(V[rest]).max(axis=(1, 2)), np.abs(X).max())
+    m, k, d = V.shape
+    if d == 1:
+        return (V.min(axis=1) - eps <= X.T) & (X.T <= V.max(axis=1) + eps)
+    if d == 2 and k == 3:
+        # the LP's acceptance rule, without the LP
+        return _triangle_distances(V, X) <= eps + 1e-12
     tol = GeomTolerance(eps=eps)
-    for i, j in zip(*np.nonzero(bound <= eps + _SCREEN_RTOL * (1.0 + coord[:, None]))):
-        inside[rest[i], j] = convex_hull_contains(V[rest[i]], X[j], tol)
-    return inside
+    return np.array([[convex_hull_contains(v, x, tol) for x in X] for v in V], dtype=bool).reshape(m, len(X))
+
+
+def _triangle_distances(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(m, q) sup-norm distances from the rows of X (q, 2) to the triangles V (m, 3, 2), flat ones too.
+
+    A query strictly inside by the orientation signs of v_j - x is at
+    distance 0; otherwise the distance is the least over the three edges.
+    A sign counts only where the cross product exceeds its rounding error
+    bound, for near a flat triangle's line the rounded signs may be noise.
+    On the edge from v_j along b = v_{j+1} - v_j, f(s) = max_i |a_i - s * b_i|
+    with a = x - v_j is the larger of two convex V-shapes, so its minimum
+    over [0, 1] sits at 0, 1, or where they cross: s = (a_0 -+ a_1) / (b_0 -+ b_1).
+    """
+    R = V[:, None] - X[:, None]  # (m, q, 3, 2): v_j - x
+    S = np.roll(R, -1, axis=2)
+    p, q = R[..., 0] * S[..., 1], R[..., 1] * S[..., 0]
+    # |rounded - exact cross| <= 4u (|p| + |q|) with u = 2**-53, the rounding of
+    # v_j - x included; 2**-50 = 8u covers the second-order terms
+    err = 2.0**-50 * (np.abs(p) + np.abs(q))
+    cross = p - q
+    inside = (cross > err).all(axis=2) | (cross < -err).all(axis=2)
+
+    a = -R[..., None, :]  # (m, q, 3, 1, 2)
+    b = (np.roll(V, -1, axis=1) - V)[:, None, :, None]
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.concatenate(np.broadcast_arrays(0.0, 1.0, (a0 - a1) / (b0 - b1), (a0 + a1) / (b0 + b1)), axis=-1)
+    s = np.clip(np.nan_to_num(s), 0.0, 1.0)
+    f = np.maximum(np.abs(a0 - s * b0), np.abs(a1 - s * b1))
+    return np.where(inside, 0.0, f.min(axis=(2, 3)))
 
 
 def simplex_contains(simplex, x, tol: GeomTolerance = GeomTolerance()) -> bool:

@@ -59,10 +59,22 @@ def test_perfbench_tracer_targets_resolve():
 
 def test_import_leaves_scipy_optimize_unloaded():
     """The package and its CLI import without scipy.optimize or scipy.special; only the LP,
-    the fits and the scenario-3 band draws need them."""
+    the fits and the scenario-3 band draws need them.  Flat 1-D and 2-D hulls are decided in
+    closed form, so exact 2-D depth on tied data and a flat training cloud leave the LP unloaded."""
     src = str(Path(sigmadepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     mods = ("scipy.optimize", "scipy.special")
-    code = f"import sys, sigmadepth, sigmadepth.cli; print([m in sys.modules for m in {mods!r}])"
+    code = (
+        "import sys, numpy as np, sigmadepth as sd, sigmadepth.cli\n"
+        f"print([m in sys.modules for m in {mods!r}])\n"
+        "grid = np.array([[i / 8, j / 8] for i in range(4) for j in range(3)])\n"
+        "ev = sd.DepthEvaluator(grid, sd.DepthConfig('simplex_enlarged', sigma=1.5))\n"
+        "counts = [60, 60, 2, 92, 92, 0, 60, 60, 2, 6, 6, 6]\n"
+        "assert ev.exact and ev.contain_counts(grid + 1 / 16).tolist() == counts\n"
+        "line = np.column_stack([np.arange(5.0), 2 * np.arange(5.0)])\n"
+        "mask = sd.outsider_mask(line, line + [0, 10], np.array([[1.5, 3.0], [1.5, 4.0]]))\n"
+        "assert mask.tolist() == [False, True]\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.split() == ["[False,", "False]", "False"]

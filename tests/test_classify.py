@@ -260,6 +260,18 @@ def test_outsider_mask_large_collinear_cloud():
     assert outsider_mask(line, far, test).tolist() == [False, True, True, True]
 
 
+def test_outsider_mask_nearly_flat_cloud():
+    """A cloud Qhull rejects though one point is 1e-7 off its extreme segment keeps that point inside."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    t = np.linspace(0.0, 1.0, 7)
+    cloud = 1e8 + np.column_stack([t, t])
+    cloud[3, 1] += 1e-7
+    with pytest.raises(QhullError):
+        ConvexHull(cloud)
+    assert not outsider_mask(cloud, cloud + [10.0, 0.0], cloud).any()
+
+
 def test_outsider_mask_one_dimensional():
     t1 = np.array([[0.0], [1.0]])
     t2 = np.array([[5.0], [6.0]])

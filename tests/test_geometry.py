@@ -153,10 +153,10 @@ def _flat_grid_sets(d, seed):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
 def test_screened_hull_mask_matches_lp(d, sigma, eps):
-    """The screened helper agrees with the plain LP on degenerate grid sets.
+    """The batched hull mask agrees with the plain LP on degenerate grid sets.
 
     Queries sit at the vertices, at the midpoints of vertex pairs, and just
-    off the set: within and beyond the slack, and beyond the screening margin.
+    off the set: within and beyond the slack, and up to 1e-3 away.
     """
     tol = GeomTolerance(eps=eps)
     P, combos = _flat_grid_sets(d, seed=d)
@@ -187,13 +187,75 @@ def _count_lp_calls(monkeypatch):
 
 
 def test_far_queries_skip_the_hull_lp(monkeypatch):
+    """A flat triangle is decided in closed form, far or near; a flat tetrahedron still takes the LP."""
     calls = _count_lp_calls(monkeypatch)
     batch = SimplexBatch(np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]]))
     far = np.array([[5.0, -5.0], [10.0, 10.0], [-3.0, 4.0], [1.0, 1.5]])
     assert batch.contains_counts(far, [1.0]).tolist() == [[0, 0, 0, 0]]
-    assert len(calls) == 0
     assert batch.contains_counts(np.array([[1.5, 1.5]]), [1.0]).tolist() == [[1]]
+    assert len(calls) == 0
+    flat = SimplexBatch(np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]]))
+    assert flat.contains_counts(np.array([[0.5, 0.5, 0.0]]), [1.0]).tolist() == [[1]]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.25])
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
+def test_collinear_triangles_match_lp(sigma, eps):
+    """The closed-form triangle rule agrees with the LP on collinear sets.
+
+    Queries sit at the vertices, at the segment ends and their float
+    neighbours, at offsets from 1e-6 to 1e8 off a segment end and the
+    segment's midpoint, in four directions, and on the segment's line at
+    grid and decimal steps inside it and past each end.  Offsets stay far
+    from eps, where the LP's own feasibility tolerance (about 1e-7) would
+    decide.  The last two sets have centroids that round at sigma 1.5 and
+    2, so their dilated vertices are collinear only up to rounding.
+    """
+    tol = GeomTolerance(eps=eps)
+    base = [
+        [[0, 0], [1, 1], [2, 2]],
+        [[0, 0], [0, 0], [3, 0]],
+        [[2, 5], [2, 5], [2, 5]],
+        [[4, 1], [0, 3], [2, 2]],
+        [[0, 1], [1, 2], [2, 3]],
+        [[0, 0], [1, 3], [2, 6]],
+    ]
+    sets = enlarge_batch(np.array(base, dtype=float), sigma)
+    sets = np.concatenate([sets, sets + 1e4, sets[:, ::-1] - 7.5])
+    directions = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 0.5]])
+    offsets = np.array([1e-6, 1e-3, 1.0, 1e3, 1e8])
+    steps = np.array([-1e3, -2.5, -1.125, -0.1, 0.3, 0.625, 1.1, 1.125, 3.7, 1e3])
+    decided = set()
+    for V in sets:
+        ends = V[np.lexsort(V.T[::-1])][[0, -1]]
+        near = np.vstack([np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+        off = (np.vstack([ends[:1], ends.mean(axis=0)])[:, None, None] + offsets[:, None, None] * directions).reshape(-1, 2)
+        on_line = ends[0] + steps[:, None] * (ends[1] - ends[0])
+        X = np.vstack([V, ends, near, off, on_line])
+        want = [bool(convex_hull_contains(V, x, tol)) for x in X]
+        assert convex_hull_contains_many(V, X, tol).tolist() == want
+        decided.update(want)
+    assert decided == {True, False}
+
+
+def test_sliver_triangle_needs_orientation_and_every_edge():
+    """Flagged-degenerate slivers: vertices, long-edge midpoint and centroid are inside.
+
+    At 1e4 the middle vertex sits 5e-9 off the long edge, so a rule that
+    measured only the distance to the segment between the lexicographic
+    extremes would lose it (vertex counts [1, 0, 1]).  At 1e6 the sliver
+    is 5e-7 thick and its centroid is farther than eps from every edge, so
+    only the orientation test calls it inside.
+    """
+    for mag, h in [(1e4, 5e-9), (1e6, 5e-7)]:
+        V = mag + np.array([[0.0, 0.0], [1.0, 1.0 + h], [2.0, 2.0]])
+        batch = SimplexBatch(V[None])
+        assert batch.n_degenerate == 1
+        X = np.vstack([V, (V[0] + V[2]) / 2, V.mean(axis=0)])
+        assert [convex_hull_contains(V, x) for x in X] == [True] * 5
+        assert convex_hull_contains_many(V, X).tolist() == [True] * 5
+        assert batch.contains_counts(X, [1.0]).tolist() == [[1] * 5]
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e5, 1e6, 1e8])
