@@ -16,6 +16,12 @@ Exact mode enumerates index combinations up to a configurable cap; Monte
 Carlo mode averages over `budget` uniformly drawn index tuples (with
 replacement across draws, unbiased).  All randomness flows from the config
 seed through a single sequential generator, so results are bit-stable.
+
+Exact counts take one of three paths: pair counting by binary search in
+1-D, kept barycentric maps up to `_PRECOMP_MAX` simplices, and, for the
+triangles of a larger 2-D set, the pair tables of
+`geometry.pair_table_counts`.  Only d >= 3 and the full transform stream
+their simplex chunks, rebuilding them on every call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import GeomTolerance, SimplexBatch, as_point, as_points
+from .geometry import GeomTolerance, SimplexBatch, as_point, as_points, pair_table_counts
 from .sigma import check_sigma, sample_sigma_blocks
 
 METHODS = (
@@ -41,6 +47,8 @@ METHODS = (
 
 DEFAULT_EXACT_CAP = 10**7
 # Simplex batches up to this size are precomputed and reused across queries.
+# Larger exact 2-D triangle sets are counted from pair tables, and larger
+# d >= 3 and full-transform sets are streamed chunk by chunk on each call.
 _PRECOMP_MAX = 2**19
 # Streaming chunk size (simplices per kernel batch).  Exact full-transform
 # chunks hold whole subsets, so one subset's pattern table must fit in one
@@ -246,10 +254,21 @@ class DepthEvaluator:
 
     Precomputes whatever the strategy allows: the block-combined points,
     and the simplex chunks of `_iter_batches` when they hold at most
-    `_PRECOMP_MAX` simplices; larger enumerations and Monte-Carlo budgets
-    are streamed through the same chunks on every call.  Repeated
-    construction with the same inputs reproduces identical values, so the
-    one-shot operations below simply build an evaluator and discard it.
+    `_PRECOMP_MAX` simplices.  `strategy` names the path:
+
+    - 'count1d': exact 1-D pair counting, no simplices;
+    - 'kept': exact, the chunks are kept and reused for every query;
+    - 'pairs2d': exact triangles above `_PRECOMP_MAX` in 2-D, counted from
+      per-call pair tables (`geometry.pair_table_counts`), no chunks;
+    - 'streamed': exact above `_PRECOMP_MAX` in d >= 3 or for the full
+      transform, the chunks are rebuilt on every call;
+    - 'mc': Monte Carlo, the draws kept up to `_PRECOMP_MAX`, else redrawn
+      from the seed on every call.
+
+    Every path gives the counts of `SimplexBatch` over the same simplices.
+    Repeated construction with the same inputs reproduces identical values,
+    so the one-shot operations below simply build an evaluator and discard
+    it.
     """
 
     def __init__(self, data, cfg: DepthConfig):
@@ -276,12 +295,18 @@ class DepthEvaluator:
         self.exact = cfg.budget is None
         self.n_simplices = total if self.exact else int(cfg.budget)
 
-        self._strategy = "enum"
-        if self.exact and self.d == 1 and not self._full:
-            self._strategy = "count1d"
-        elif not self.exact:
+        if not self.exact:
             self._strategy = "mc"
-        if self._strategy == "enum" and self._full and full_pattern_count(p) > _STREAM_CHUNK:
+        elif self.d == 1 and not self._full:
+            self._strategy = "count1d"
+        elif total <= _PRECOMP_MAX:
+            self._strategy = "kept"
+        elif self.d == 2 and not self._full:
+            self._strategy = "pairs2d"
+        else:
+            self._strategy = "streamed"
+        enumerates = self.exact and self._strategy != "count1d"
+        if enumerates and self._full and full_pattern_count(p) > _STREAM_CHUNK:
             raise ResourceCapError(
                 f"exact 'dist_enlarged_full' in {self.d}-D needs {full_pattern_count(p)} "
                 "simplices per subset; pass a Monte-Carlo budget"
@@ -289,16 +314,22 @@ class DepthEvaluator:
         # The cap guards enumeration work; the 1-D counting path costs
         # O(n log n) per query, in query chunks, however many pairs the
         # total names.
-        if self._strategy == "enum" and total > cfg.exact_cap:
+        if enumerates and total > cfg.exact_cap:
             raise ResourceCapError(
                 f"exact enumeration needs {total} simplices (cap {cfg.exact_cap}); "
                 "pass a Monte-Carlo budget or raise exact_cap"
             )
-        # Small simplex sets keep their chunks for every later query; larger
-        # ones are rebuilt chunk by chunk on each call.
+        # Small simplex sets keep their chunks for every later query.
         self._batches = None
-        if self._strategy != "count1d" and self.n_simplices <= _PRECOMP_MAX:
-            self._batches = self._build_mc_batch() if self._strategy == "mc" else list(self._iter_batches())
+        if self._strategy == "kept":
+            self._batches = list(self._iter_batches())
+        elif self._strategy == "mc" and self.n_simplices <= _PRECOMP_MAX:
+            self._batches = self._build_mc_batch()
+
+    @property
+    def strategy(self) -> str:
+        """How counts are made: 'count1d', 'kept', 'pairs2d', 'streamed' or 'mc'."""
+        return self._strategy
 
     # -- simplex materialization -----------------------------------------
 
@@ -382,6 +413,8 @@ class DepthEvaluator:
         """(len(sigmas), q) counts with the simplices dilated by each sigma."""
         if self._strategy == "count1d":
             return _count_pairs_1d(self._base[:, 0], X[:, 0], sigmas, self.cfg.tol.eps).T
+        if self._strategy == "pairs2d":
+            return pair_table_counts(self._base, X, sigmas, self.cfg.tol.eps)
         # Counts sum independent per-pair decisions, so chunking cannot move them.
         counts = np.zeros((len(sigmas), len(X)), dtype=np.int64)
         for batch in self._batches or self._iter_batches():

@@ -110,11 +110,11 @@ def bary_affine_parts(verts: np.ndarray):
         lin[:, 1, 1] = ax - cx
         lin[:, 2, 0] = ay - by
         lin[:, 2, 1] = bx - ax
-        det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
+        det = _det2(E[:, 0], E[:, 1])
     else:
         # alpha_1..d = E^{-T} (x - v_0) with E's rows the edges; alpha_0 = 1 - sum.
         det = np.linalg.det(E)
-        good = np.abs(det) > PIVOT_RTOL * scale
+        good = ~_singular(det, scale)
         if np.any(good):
             adj = np.linalg.inv(E[good]) * det[good, None, None]
             lin[good, 1:] = adj.transpose(0, 2, 1)
@@ -122,6 +122,16 @@ def bary_affine_parts(verts: np.ndarray):
     # alpha_i vanishes at every vertex but v_i: at v_1 for i = 0, else at v_0.
     const = -np.einsum("mkd,mkd->mk", lin, verts[:, [1] + [0] * d])
     return const, lin, det, scale
+
+
+def _det2(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """2-D determinant of the edge vectors e0, e1 (..., 2), as bary_affine_parts forms it."""
+    return e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+
+
+def _singular(det: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The singularity rule of bary_affine_parts: |det| <= PIVOT_RTOL * scale."""
+    return np.abs(det) <= PIVOT_RTOL * scale
 
 
 def _row_absmax(a: np.ndarray) -> np.ndarray:
@@ -145,7 +155,7 @@ def barycentric_coordinates(simplex, x):
     if x.size != v.shape[1]:
         raise InputError(f"point dim {x.size} != simplex dim {v.shape[1]}")
     const, lin, det, scale = bary_affine_parts(v[None])
-    if abs(det[0]) <= PIVOT_RTOL * scale[0]:
+    if _singular(det, scale)[0]:
         return None
     return (const[0] + lin[0] @ x) / det[0]
 
@@ -311,7 +321,7 @@ class SimplexBatch:
         self.m, k, self.d = verts.shape
         self.eps = float(eps)
         const, lin, det, scale = bary_affine_parts(verts)
-        degenerate = np.abs(det) <= PIVOT_RTOL * scale
+        degenerate = _singular(det, scale)
         good = ~degenerate
         sign = np.where(det < 0, -1.0, 1.0)
         # Decision ingredients for the nonsingular members only, laid out as
@@ -333,7 +343,7 @@ class SimplexBatch:
         sigmas = np.asarray(sigmas, dtype=float).ravel()
         q = X.shape[0]
         counts = np.zeros((len(sigmas), q), dtype=np.int64)
-        t = (1.0 - sigmas) / (self.d + 1) - self.eps * sigmas
+        t = _thresholds(sigmas, self.d, self.eps)
 
         mg = len(self._absdet)
         if mg:
@@ -359,12 +369,23 @@ class SimplexBatch:
                         # summing bytes into int32 is about twice as fast as count_nonzero(axis=1)
                         counts[k, qs : qs + q_chunk] += hit.view(np.uint8).sum(axis=1, dtype=np.int32)
 
-        deg_chunk = max(1, self._CHUNK_ELEMS // max(q * self.d, 1))
-        for ms in range(0, self.n_degenerate, deg_chunk):
-            dv = self._degenerate_verts[ms : ms + deg_chunk]
-            for k, sigma in enumerate(sigmas):
-                counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, self.eps).sum(axis=0)
+        _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts
+
+
+def _thresholds(sigmas: np.ndarray, d: int, eps: float) -> np.ndarray:
+    """t(sigma) = (1-sigma)/(d+1) - eps*sigma: x is in the sigma-dilation iff every barycentric coordinate is >= t."""
+    return (1.0 - sigmas) / (d + 1) - eps * sigmas
+
+
+def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigmas, eps: float) -> None:
+    """Add to counts (len(sigmas), q) the degenerate simplices verts (m, d+1, d) whose
+    sigma-dilated vertex set holds each row of X within eps, in chunks of the simplices."""
+    chunk = max(1, SimplexBatch._CHUNK_ELEMS // max(X.size, 1))
+    for ms in range(0, len(verts), chunk):
+        dv = verts[ms : ms + chunk]
+        for k, sigma in enumerate(sigmas):
+            counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, eps).sum(axis=0)
 
 
 def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tmp: np.ndarray) -> None:
@@ -385,3 +406,86 @@ def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tm
         for j in range(3, d, 2):
             odd += np.multiply(X[:, j], L[j], out=tmp)
         out += odd
+
+
+def pair_table_counts(V: np.ndarray, X: np.ndarray, sigmas, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """(len(sigmas), q) counts over all C(n, 3) triangles of the points V (n, 2).
+
+    The counts of SimplexBatch over the triangles (i < j < k), vertices in
+    that order, without a barycentric map per triangle.  Row r of
+    bary_affine_parts over the n^2 pseudo-triangles (v_a, v_a, v_b) gives
+    the pair table T_r[a, b] = x . L_r[a, b] + C_r[a, b], summed by
+    _dot_into, and the det-scaled values of triangle (i, j, k) are
+    T0[j, k], T1[i, k] and T0[i, j]: the very doubles of the map kernel,
+    before its sign flip to det > 0, which is exact.  So the decision is
+    the kernel's: the least of the three values times sign(det) is
+    >= t(sigma)*|det|.  Per middle vertex j the triangles fill the
+    rectangle T1[:j, j+1:], with T0[j, j+1:] broadcast down its rows and
+    T0[:j, j] across its columns.  det and the singularity rule are those
+    of bary_affine_parts on the edges v_j - v_i and v_k - v_i; singular
+    triangles take the hull fallback, as in SimplexBatch.
+
+    |det| and sign(det) are built once per call, 9 bytes per triangle.  The
+    pair tables of one query chunk hold at most SimplexBatch._CHUNK_ELEMS
+    elements each, or one query's n^2 if that is more.
+    """
+    V = np.asarray(V, dtype=float)
+    X = np.asarray(X, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    n, q = len(V), len(X)
+    t = _thresholds(sigmas, 2, eps)
+    counts = np.zeros((len(sigmas), q), dtype=np.int64)
+
+    a, b = np.divmod(np.arange(n * n), n)
+    const, lin, _, _ = bary_affine_parts(V[np.stack([a, a, b], axis=1)])
+    maps = [(np.ascontiguousarray(lin[:, r].T), const[:, r]) for r in (0, 1)]
+
+    # Per middle vertex j: |det|, NaN where singular so that no threshold
+    # passes; the sign of det; and the singular triangles (i, j, k).
+    D = V[None, :] - V[:, None]  # D[i, j] = v_j - v_i
+    vmax = _row_absmax(V)
+    emax = _row_absmax(D.reshape(n * n, 2)).reshape(n, n)
+    absdets, signs, flat = [], [], []
+    for j in range(1, n - 1):
+        det = _det2(D[:j, j, None], D[:j, j + 1 :])
+        # bary_affine_parts' scale: max |v| over the three vertices times max |edge|
+        scale = np.maximum(np.maximum.outer(vmax[:j], vmax[j + 1 :]), vmax[j])
+        scale *= np.maximum(emax[:j, j, None], emax[:j, j + 1 :])
+        singular = _singular(det, scale)
+        absdets.append(np.where(singular, np.nan, np.abs(det)))
+        signs.append(np.where(det < 0, -1, 1).astype(np.int8))
+        i, k = np.nonzero(singular)
+        flat.append(np.stack([i, np.full_like(i, j), k + j + 1], axis=1))
+
+    q_chunk = max(1, SimplexBatch._CHUNK_ELEMS // (n * n))
+    qc = min(q, q_chunk)
+    tables = [np.empty((qc, n * n)) for _ in range(3)]
+    widest = max(x.size for x in absdets)
+    low_buf, val_buf = np.empty(qc * widest), np.empty(qc * widest)
+    hit_buf = np.empty(qc * widest, dtype=bool)
+    thr_buf, sign_buf = np.empty(widest), np.empty(widest)
+    for qs in range(0, q, q_chunk):
+        Xc = X[qs : qs + q_chunk, :, None]
+        c = len(Xc)
+        T0, T1, odd = (tab[:c] for tab in tables)
+        for T, (L, C) in zip((T0, T1), maps):
+            _dot_into(Xc, L, T, odd, odd)  # the last scratch buffer is used for d > 2 only
+            T += C
+        T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
+        for j, absdet, sign8 in zip(range(1, n - 1), absdets, signs):
+            low, val, hit = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf, hit_buf))
+            thr, sign = (b[: absdet.size].reshape(absdet.shape) for b in (thr_buf, sign_buf))
+            np.copyto(sign, sign8)
+            # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j]
+            np.multiply(T1[:, :j, j + 1 :], sign, out=low)
+            np.multiply(T0[:, None, j, j + 1 :], sign, out=val)
+            np.minimum(low, val, out=low)
+            np.multiply(T0[:, :j, j, None], sign, out=val)
+            np.minimum(low, val, out=low)
+            for s, t_s in enumerate(t):
+                np.multiply(t_s, absdet, out=thr)
+                np.greater_equal(low, thr, out=hit)
+                counts[s, qs : qs + c] += hit.reshape(c, -1).view(np.uint8).sum(axis=1, dtype=np.int32)
+
+    _add_hull_counts(counts, V[np.concatenate(flat)], X, sigmas, eps)
+    return counts

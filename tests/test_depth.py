@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracle import count_pairs_1d_loop, naive_full_depth
 
 from sigmadepth import depth as depth_module
+from sigmadepth import geometry
 from sigmadepth.depth import (
     DepthConfig,
     DepthEvaluator,
@@ -23,7 +24,7 @@ from sigmadepth.depth import (
     trimmed_region_grid,
 )
 from sigmadepth.errors import InputError, InsufficientDataError, ResourceCapError
-from sigmadepth.geometry import GeomTolerance, SimplexBatch
+from sigmadepth.geometry import GeomTolerance, SimplexBatch, pair_table_counts
 from sigmadepth.sigma import sample_sigma_blocks
 
 HOEFFDING_TRIALS = 50
@@ -245,6 +246,129 @@ def test_streaming_enumeration_matches_direct_batch():
         verts = data[combos[s : s + 100_000]]
         counts += SimplexBatch(verts).contains_counts(X, [2.0])[0]
     assert np.array_equal(ev.contain_counts(X), counts)
+
+
+PAIR_TABLE_KINDS = ("gaussian", "grid", "decimal", "sliver")
+PAIR_TABLE_SIGMAS = (0.7, 1.0, 1.0 + 2**-40, 1.5, 2.0, 3.0)
+
+
+def _pair_table_corpus(kind):
+    """24 points and 302 queries: two far points, the data points, every edge midpoint.
+
+    The 1/8-grid data repeat a point and put many triples on common lines;
+    the decimal data sit at 1e4, where some rounded triples count as
+    singular; the sliver data lie within 1e-7 of a line at 1e3, so |det|
+    straddles the singularity bound PIVOT_RTOL * scale (about 1e-9).
+    """
+    rng = np.random.default_rng([2, PAIR_TABLE_KINDS.index(kind)])
+    n = 24
+    if kind == "grid":
+        P = rng.integers(0, 5, (n, 2)) / 8
+        P[1] = P[0]
+    elif kind == "decimal":
+        P = np.round(1e4 + 0.05 * rng.standard_normal((n, 2)), 2)
+    elif kind == "sliver":
+        u = rng.random(n)
+        P = np.column_stack([1e3 + u, 1e3 + 2 * u + 10.0 ** rng.uniform(-13, -7, n)])
+    else:
+        P = rng.standard_normal((n, 2))
+    i, j = np.triu_indices(n, 1)
+    far = P[:2] + 10.0 * (P.max(axis=0) - P.min(axis=0) + 1.0)
+    return P, np.vstack([far, P, (P[i] + P[j]) / 2])
+
+
+def _all_triangle_batch(P):
+    return SimplexBatch(P[np.array(list(itertools.combinations(range(len(P)), 3)))])
+
+
+def _sorted_rows(triangles):
+    flat = triangles.reshape(-1, 6)
+    return flat[np.lexsort(flat.T[::-1])]
+
+
+@pytest.mark.parametrize("kind", PAIR_TABLE_KINDS)
+def test_pair_tables_match_simplex_batch(kind, monkeypatch):
+    """Pair-table counts equal SimplexBatch over all triangles, byte for byte.
+
+    Computed directly and through exact 2-D evaluators above the precompute
+    limit: simplicial, simplex-enlarged over a sigma grid, and block
+    transform at each sigma.  The table cap gives 7 queries per chunk, so
+    302 queries span 44 chunks, the last holding one.
+    """
+    P, X = _pair_table_corpus(kind)
+    batch = _all_triangle_batch(P)
+    want = batch.contains_counts(X, PAIR_TABLE_SIGMAS)
+    assert (batch.n_degenerate > 0) == (kind != "gaussian")
+    blocks_want = [
+        _all_triangle_batch(sample_sigma_blocks(P, s)).contains_counts(X, [1.0])[0] for s in PAIR_TABLE_SIGMAS
+    ]
+
+    monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", 7 * len(P) ** 2)
+    assert len(X) % 7 == 1
+    flat = []
+    add_hull_counts = geometry._add_hull_counts
+    monkeypatch.setattr(geometry, "_add_hull_counts", lambda c, verts, *a: add_hull_counts(c, flat.append(verts) or verts, *a))
+    assert np.array_equal(pair_table_counts(P, X, PAIR_TABLE_SIGMAS), want)
+    # the same singular triangles, each with its vertices in (i, j, k) order
+    assert np.array_equal(_sorted_rows(flat[0]), _sorted_rows(batch._degenerate_verts))
+
+    ev = DepthEvaluator(P, DepthConfig())
+    assert ev.strategy == "pairs2d"
+    assert np.array_equal(ev.contain_counts(X), want[1])
+    ev = DepthEvaluator(P, exact_cfg())
+    assert ev.strategy == "pairs2d"
+    # n_simplices < 2^53, so equal quotients mean equal counts
+    assert np.array_equal(ev.depth_profile(X, PAIR_TABLE_SIGMAS), want / ev.n_simplices)
+    for s, counts in zip(PAIR_TABLE_SIGMAS, blocks_want):
+        ev = DepthEvaluator(P, exact_cfg(method="dist_enlarged_blocks", sigma=s))
+        assert ev.strategy == "pairs2d" and ev.n_simplices == math.comb(8, 3)
+        assert np.array_equal(ev.contain_counts(X), counts)
+
+
+def test_pair_table_path_builds_no_simplex_batch(monkeypatch):
+    """Above the precompute limit exact 2-D counting builds no SimplexBatch; d = 3 and MC still do."""
+    built = []
+    init = SimplexBatch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexBatch, "__init__", counted)
+    monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+    rng = np.random.default_rng(23)
+    cases = [
+        (rng.standard_normal((12, 2)), exact_cfg(), "pairs2d"),
+        (rng.standard_normal((8, 3)), exact_cfg(), "streamed"),
+        (rng.standard_normal((12, 2)), exact_cfg(budget=50), "mc"),
+    ]
+    for data, cfg, strategy in cases:
+        ev = DepthEvaluator(data, cfg)
+        assert ev.strategy == strategy
+        built.clear()
+        ev.depths(rng.standard_normal((4, data.shape[1])))
+        assert (len(built) > 0) == (strategy != "pairs2d"), strategy
+
+
+@pytest.mark.parametrize(
+    "shape, cfg, strategy",
+    [
+        ((10, 1), exact_cfg(), "count1d"),
+        ((10, 2), exact_cfg(), "kept"),
+        ((150, 2), exact_cfg(), "pairs2d"),  # C(150, 3) = 551 300 > 2^19
+        ((62, 3), exact_cfg(), "streamed"),  # C(62, 4) = 557 845
+        ((12, 2), exact_cfg(method="dist_enlarged_full"), "streamed"),  # 220 subsets x 7560
+        ((10, 2), exact_cfg(budget=100), "mc"),
+        ((10, 1), exact_cfg(budget=100), "mc"),
+    ],
+)
+def test_evaluator_reports_its_strategy(shape, cfg, strategy):
+    ev = DepthEvaluator(np.random.default_rng(24).standard_normal(shape), cfg)
+    assert ev.strategy == strategy
+    assert (ev._batches is not None) == (strategy in ("kept", "mc"))
+    with pytest.raises(AttributeError):
+        ev.strategy = "kept"
 
 
 # 2-D needs n = 10 for several streamed chunks, and the oracle then walks
