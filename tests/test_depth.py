@@ -308,7 +308,12 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
     assert len(X) % 7 == 1
     flat = []
     add_hull_counts = geometry._add_hull_counts
-    monkeypatch.setattr(geometry, "_add_hull_counts", lambda c, verts, *a: add_hull_counts(c, flat.append(verts) or verts, *a))
+
+    def recorded(counts, verts, *args):
+        flat.append(verts)
+        add_hull_counts(counts, verts, *args)
+
+    monkeypatch.setattr(geometry, "_add_hull_counts", recorded)
     assert np.array_equal(pair_table_counts(P, X, PAIR_TABLE_SIGMAS), want)
     # the same singular triangles, each with its vertices in (i, j, k) order
     assert np.array_equal(_sorted_rows(flat[0]), _sorted_rows(batch._degenerate_verts))
