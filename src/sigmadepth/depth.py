@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -54,6 +55,8 @@ _PRECOMP_MAX = 2**19
 # chunks hold whole subsets, so one subset's pattern table must fit in one
 # chunk: 7560 simplices in 2-D, but 672 672 000 in 3-D.
 _STREAM_CHUNK = 2**18
+# Threads for 1-D pair counting: the cores this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _is_count(value) -> bool:
@@ -207,10 +210,14 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float)
     per sigma, instead of enumerating the n^2/2 pairs.  The values are
     sorted once for every sigma.  The searches run over chunks of queries,
     each threshold buffer holding at most `SimplexBatch._CHUNK_ELEMS`
-    elements, with no per-query Python loop.  Pairs of exactly equal values
-    use the degenerate point rule |x - a| <= eps, matching the hull
-    fallback of the matrix kernel.  Returns (q, len(sigmas)) counts, one
-    row per query.
+    elements, with no per-query Python loop.  The chunks are spread over
+    the usable cores with threads (numpy releases the GIL in the searches
+    and the arithmetic); each chunk writes its own integer rows, so the
+    counts do not depend on the thread count, and there is no option to
+    set it.  A call with a single chunk runs on the calling thread.  Pairs
+    of exactly equal values use the degenerate point rule |x - a| <= eps,
+    matching the hull fallback of the matrix kernel.  Returns
+    (q, len(sigmas)) counts, one row per query.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
@@ -225,8 +232,9 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float)
 
     sigmas = [float(s) for s in np.ravel(sigmas)]
     counts = np.empty((len(x), len(sigmas)), dtype=np.int64)
-    step = max(1, SimplexBatch._CHUNK_ELEMS // n)
-    for s in range(0, len(x), step):
+    step = max(1, min(SimplexBatch._CHUNK_ELEMS // n, math.ceil(len(x) / _WORKERS)))
+
+    def count_chunk(s):
         xq = x[s : s + step, None]
         flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
         for k, sigma in enumerate(sigmas):
@@ -246,6 +254,18 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float)
                 thr_r = (xq - u * v) / t
                 fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
             counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
+
+    starts = range(0, len(x), step)
+    if len(starts) <= 1:
+        for s in starts:
+            count_chunk(s)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Leaving the block joins every worker; map re-raises a worker's exception.
+        with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
+            for _ in pool.map(count_chunk, starts):
+                pass
     return counts
 
 

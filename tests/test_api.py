@@ -78,3 +78,13 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[False,", "False]", "False"]
+
+
+def test_import_leaves_thread_pool_unloaded():
+    """The package and its CLI import without concurrent.futures; only a 1-D pair count
+    with more than one query chunk loads it, so start-up pays nothing for the pool."""
+    src = str(Path(sigmadepth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sigmadepth, sigmadepth.cli\nprint('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

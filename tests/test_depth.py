@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 from dataclasses import replace
 from functools import lru_cache
 
@@ -231,7 +232,7 @@ def test_depth_profile_rejects_bad_sigmas():
 
 
 def test_streaming_enumeration_matches_direct_batch():
-    """n large enough that the exact enumeration is streamed, not cached."""
+    """n large enough that the exact triangles are counted from pair tables, not kept maps."""
     rng = np.random.default_rng(21)
     n = 148  # C(148, 3) = 529396 simplices, above the precompute limit
     data = rng.standard_normal((n, 2))
@@ -498,11 +499,46 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
         for sigma in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0):
             for eps in (1e-9, 0.0):
                 X = _pair_count_queries(v, sigma, eps)
-                step = max(1, cap // n)
+                step = max(1, min(cap // n, math.ceil(len(X) / depth_module._WORKERS)))
                 hit |= [step == 1, len(X) % step > 0, n > cap]
                 got = _count_pairs_1d(v, X, [sigma], eps)[:, 0]
                 assert np.array_equal(got, count_pairs_1d_loop(v, X, sigma, eps)), (n, sigma, eps)
     assert cap > 24 or hit.all()
+
+
+@pytest.mark.parametrize("kind", PAIR_COUNT_KINDS)
+def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
+    """Threaded 1-D pair counting gives the per-query loop's counts for a whole sigma grid.
+
+    One call counts sigmas 0.5 to 6 with eps 1e-9 and 0, so all three t
+    branches run, on 1, 2, 3 and 8 workers with the default chunk cap and,
+    for 5 values, a cap of 24.  The cases cover q = 0, q = 1, one query per
+    chunk, more chunks than workers and a ragged last chunk, and no thread
+    outlives a call.
+    """
+    sigmas = [0.5, 1.0, 1.5, 2.0, 3.0, 6.0]
+    default = SimplexBatch._CHUNK_ELEMS
+    hit = np.zeros(5, dtype=bool)  # q 0, q 1, one query per chunk, chunks > workers, ragged last chunk
+    for n, caps in ((13, [default]), (5, [default, 24])):
+        v = _pair_count_corpus(kind)[-n:]
+        for eps in (1e-9, 0.0):
+            X = np.concatenate([_pair_count_queries(v, sigma, eps) for sigma in sigmas])
+            want = np.column_stack([count_pairs_1d_loop(v, X, sigma, eps) for sigma in sigmas])
+            for cap in caps:
+                monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+                for workers in (1, 2, 3, 8):
+                    monkeypatch.setattr(depth_module, "_WORKERS", workers)
+                    for q in (0, 1, 7, len(X)):
+                        step = max(1, min(cap // n, math.ceil(q / workers)))
+                        chunks = math.ceil(q / step)
+                        ragged = chunks > 1 and q % step > 0
+                        hit |= [q == 0, q == 1, chunks > step == 1, chunks > workers, ragged]
+                        threads = threading.active_count()
+                        got = _count_pairs_1d(v, X[:q], sigmas, eps)
+                        assert threading.active_count() == threads
+                        assert got.shape == (q, len(sigmas))
+                        assert np.array_equal(got, want[:q]), (n, eps, cap, workers, q)
+    assert hit.all()
 
 
 @pytest.mark.parametrize(
