@@ -152,7 +152,7 @@ def _flat_grid_sets(d, seed):
 @pytest.mark.parametrize("eps", [1e-9, 0.25])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
-def test_flat_hull_mask_matches_lp(d, sigma, eps):
+def test_screened_hull_mask_matches_lp(d, sigma, eps):
     """The batched hull mask agrees with the plain LP on degenerate grid sets.
 
     Queries sit at the vertices, at the midpoints of vertex pairs, and just
