@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .depth import _is_int
 from .errors import InputError
 from .geometry import DEFAULT_EPS, GeomTolerance, as_points, convex_hull_contains_many
 
@@ -171,10 +172,10 @@ def fit_dd(
     if d1.shape != d2.shape or d1.size < 2:
         raise InputError("need matching depth vectors of length >= 2")
     labels = _labels_as_two_classes(labels, d1.size)
-    if not 1 <= int(degree) <= MAX_DEGREE:
-        raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
-    if restarts < 1:
-        raise InputError("restarts must be >= 1")
+    if not _is_int(degree, 1) or degree > MAX_DEGREE:
+        raise InputError(f"degree must be an integer in [1, {MAX_DEGREE}], got {degree!r}")
+    if not _is_int(restarts, 1):
+        raise InputError(f"restarts must be an integer >= 1, got {restarts!r}")
 
     slope, lin_loss = _linear_scan(d1, d2, labels)
     if degree == 1:

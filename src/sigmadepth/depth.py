@@ -18,10 +18,9 @@ replacement across draws, unbiased).  All randomness flows from the config
 seed through a single sequential generator, so results are bit-stable.
 
 Exact counts take one of three paths: pair counting by binary search in
-1-D, kept barycentric maps up to `_PRECOMP_MAX` simplices, and, for the
-triangles of a larger 2-D set, the pair tables of
-`geometry.pair_table_counts`.  Only d >= 3 and the full transform stream
-their simplex chunks, rebuilding them on every call.
+1-D, the triangle pair tables of `geometry.TrianglePairTables` in 2-D, and
+barycentric maps in d >= 3 and for the full transform, kept up to
+`_PRECOMP_MAX` simplices and rebuilt chunk by chunk on every call above.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import GeomTolerance, SimplexBatch, as_point, as_points, pair_table_counts
+from .geometry import GeomTolerance, SimplexBatch, TrianglePairTables, as_point, as_points
 from .sigma import check_sigma, sample_sigma_blocks
 
 METHODS = (
@@ -47,9 +46,9 @@ METHODS = (
 )
 
 DEFAULT_EXACT_CAP = 10**7
-# Simplex batches up to this size are precomputed and reused across queries.
-# Larger exact 2-D triangle sets are counted from pair tables, and larger
-# d >= 3 and full-transform sets are streamed chunk by chunk on each call.
+# Simplex batches up to this size are precomputed and reused across queries;
+# larger d >= 3, full-transform and Monte-Carlo sets are streamed chunk by
+# chunk on each call.  Exact 2-D triangle sets keep pair tables at any size.
 _PRECOMP_MAX = 2**19
 # Streaming chunk size (simplices per kernel batch).  Exact full-transform
 # chunks hold whole subsets, so one subset's pattern table must fit in one
@@ -113,25 +112,6 @@ class DepthValue:
 
 def _iter_combo_chunks(n: int, k: int, chunk: int):
     """Yield all C(n, k) index combinations as (c, k) int arrays, lex order."""
-    if k == 3:
-        buf = []
-        size = 0
-        for i in range(n - 2):
-            a, b = np.triu_indices(n - i - 1, 1)
-            block = np.empty((len(a), 3), dtype=np.int64)
-            block[:, 0] = i
-            block[:, 1] = a + i + 1
-            block[:, 2] = b + i + 1
-            buf.append(block)
-            size += len(block)
-            if size >= chunk:
-                merged = np.concatenate(buf)
-                for s in range(0, len(merged), chunk):
-                    yield merged[s : s + chunk]
-                buf, size = [], 0
-        if buf:
-            yield np.concatenate(buf)
-        return
     it = itertools.combinations(range(n), k)
     while True:
         flat = np.fromiter(
@@ -273,15 +253,15 @@ class DepthEvaluator:
     """Depth of many query points against one (data, config) pair.
 
     Precomputes whatever the strategy allows: the block-combined points,
-    and the simplex chunks of `_iter_batches` when they hold at most
+    the 2-D pair tables, and the simplex chunks of `_iter_batches` up to
     `_PRECOMP_MAX` simplices.  `strategy` names the path:
 
     - 'count1d': exact 1-D pair counting, no simplices;
-    - 'kept': exact, the chunks are kept and reused for every query;
-    - 'pairs2d': exact triangles above `_PRECOMP_MAX` in 2-D, counted from
-      per-call pair tables (`geometry.pair_table_counts`), no chunks;
-    - 'streamed': exact above `_PRECOMP_MAX` in d >= 3 or for the full
-      transform, the chunks are rebuilt on every call;
+    - 'pairs2d': exact 2-D triangles at any size, from pair tables built
+      once (`geometry.TrianglePairTables`);
+    - 'kept': exact in d >= 3 or for the full transform, the chunks are
+      kept and reused for every query;
+    - 'streamed': as 'kept' above `_PRECOMP_MAX`, rebuilt on every call;
     - 'mc': Monte Carlo, the draws kept up to `_PRECOMP_MAX`, else redrawn
       from the seed on every call.
 
@@ -319,10 +299,10 @@ class DepthEvaluator:
             self._strategy = "mc"
         elif self.d == 1 and not self._full:
             self._strategy = "count1d"
-        elif total <= _PRECOMP_MAX:
-            self._strategy = "kept"
         elif self.d == 2 and not self._full:
             self._strategy = "pairs2d"
+        elif total <= _PRECOMP_MAX:
+            self._strategy = "kept"
         else:
             self._strategy = "streamed"
         enumerates = self.exact and self._strategy != "count1d"
@@ -339,16 +319,18 @@ class DepthEvaluator:
                 f"exact enumeration needs {total} simplices (cap {cfg.exact_cap}); "
                 "pass a Monte-Carlo budget or raise exact_cap"
             )
-        # Small simplex sets keep their chunks for every later query.
+        # Pair tables, and the chunks of small simplex sets, serve every later query.
         self._batches = None
-        if self._strategy == "kept":
+        if self._strategy == "pairs2d":
+            self._batches = [TrianglePairTables(self._base, eps=cfg.tol.eps)]
+        elif self._strategy == "kept":
             self._batches = list(self._iter_batches())
         elif self._strategy == "mc" and self.n_simplices <= _PRECOMP_MAX:
             self._batches = self._build_mc_batch()
 
     @property
     def strategy(self) -> str:
-        """How counts are made: 'count1d', 'kept', 'pairs2d', 'streamed' or 'mc'."""
+        """How counts are made: 'count1d', 'pairs2d', 'kept', 'streamed' or 'mc'."""
         return self._strategy
 
     # -- simplex materialization -----------------------------------------
@@ -433,8 +415,6 @@ class DepthEvaluator:
         """(len(sigmas), q) counts with the simplices dilated by each sigma."""
         if self._strategy == "count1d":
             return _count_pairs_1d(self._base[:, 0], X[:, 0], sigmas, self.cfg.tol.eps).T
-        if self._strategy == "pairs2d":
-            return pair_table_counts(self._base, X, sigmas, self.cfg.tol.eps)
         # Counts sum independent per-pair decisions, so chunking cannot move them.
         counts = np.zeros((len(sigmas), len(X)), dtype=np.int64)
         for batch in self._batches or self._iter_batches():

@@ -408,84 +408,96 @@ def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tm
         out += odd
 
 
-def pair_table_counts(V: np.ndarray, X: np.ndarray, sigmas, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(len(sigmas), q) counts over all C(n, 3) triangles of the points V (n, 2).
+class TrianglePairTables:
+    """SimplexBatch's counts over all C(n, 3) triangles of the points V (n, 2).
 
-    The counts of SimplexBatch over the triangles (i < j < k), vertices in
-    that order, without a barycentric map per triangle.  Row r of
-    bary_affine_parts over the n^2 pseudo-triangles (v_a, v_a, v_b) gives
-    the pair table T_r[a, b] = x . L_r[a, b] + C_r[a, b], summed by
-    _dot_into, and the det-scaled values of triangle (i, j, k) are
-    T0[j, k], T1[i, k] and T0[i, j]: the very doubles of the map kernel,
-    before its sign flip to det > 0, which is exact.  So the decision is
-    the kernel's: the least of the three values times sign(det) is
-    >= t(sigma)*|det|.  Per middle vertex j the triangles fill the
-    rectangle T1[:j, j+1:], with T0[j, j+1:] broadcast down its rows and
-    T0[:j, j] across its columns.  det and the singularity rule are those
-    of bary_affine_parts on the edges v_j - v_i and v_k - v_i; singular
-    triangles take the hull fallback, as in SimplexBatch.
+    The triangles are (i < j < k), vertices in that order, and no
+    barycentric map is built per triangle.  Row r of bary_affine_parts
+    over the n^2 pseudo-triangles (v_a, v_a, v_b) gives the pair table
+    T_r[a, b] = x . L_r[a, b] + C_r[a, b], summed by _dot_into, and the
+    det-scaled values of triangle (i, j, k) are T0[j, k], T1[i, k] and
+    T0[i, j]: the very doubles of the map kernel, before its sign flip to
+    det > 0, which is exact.  So the decision is the kernel's: the least of
+    the three values times sign(det) is >= t(sigma)*|det|.  Per middle
+    vertex j the triangles fill the rectangle T1[:j, j+1:], with
+    T0[j, j+1:] broadcast down its rows and T0[:j, j] across its columns.
+    det and the singularity rule are those of bary_affine_parts on the
+    edges v_j - v_i and v_k - v_i; singular triangles take the hull
+    fallback, as in SimplexBatch.
 
-    |det| and sign(det) are built once per call, 9 bytes per triangle.  The
-    pair tables of one query chunk hold at most SimplexBatch._CHUNK_ELEMS
-    elements each, or one query's n^2 if that is more.
+    The pair maps, |det| and sign(det) (9 bytes per triangle) and the
+    singular triangles are built once, here.  The pair tables of one query
+    chunk hold at most SimplexBatch._CHUNK_ELEMS elements each, or one
+    query's n^2 if that is more.
     """
-    V = np.asarray(V, dtype=float)
-    X = np.asarray(X, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    n, q = len(V), len(X)
-    t = _thresholds(sigmas, 2, eps)
-    counts = np.zeros((len(sigmas), q), dtype=np.int64)
 
-    a, b = np.divmod(np.arange(n * n), n)
-    const, lin, _, _ = bary_affine_parts(V[np.stack([a, a, b], axis=1)])
-    maps = [(np.ascontiguousarray(lin[:, r].T), const[:, r]) for r in (0, 1)]
+    def __init__(self, V: np.ndarray, eps: float = DEFAULT_EPS):
+        V = np.asarray(V, dtype=float)
+        self.n = n = len(V)
+        self.eps = float(eps)
+        a, b = np.divmod(np.arange(n * n), n)
+        const, lin, _, _ = bary_affine_parts(V[np.stack([a, a, b], axis=1)])
+        self._maps = [(np.ascontiguousarray(lin[:, r].T), const[:, r]) for r in (0, 1)]
 
-    # Per middle vertex j: |det|, NaN where singular so that no threshold
-    # passes; the sign of det; and the singular triangles (i, j, k).
-    D = V[None, :] - V[:, None]  # D[i, j] = v_j - v_i
-    vmax = _row_absmax(V)
-    emax = _row_absmax(D.reshape(n * n, 2)).reshape(n, n)
-    absdets, signs, flat = [], [], []
-    for j in range(1, n - 1):
-        det = _det2(D[:j, j, None], D[:j, j + 1 :])
-        # bary_affine_parts' scale: max |v| over the three vertices times max |edge|
-        scale = np.maximum(np.maximum.outer(vmax[:j], vmax[j + 1 :]), vmax[j])
-        scale *= np.maximum(emax[:j, j, None], emax[:j, j + 1 :])
-        singular = _singular(det, scale)
-        absdets.append(np.where(singular, np.nan, np.abs(det)))
-        signs.append(np.where(det < 0, -1, 1).astype(np.int8))
-        i, k = np.nonzero(singular)
-        flat.append(np.stack([i, np.full_like(i, j), k + j + 1], axis=1))
+        # Per middle vertex j: |det|, NaN where singular so that no threshold
+        # passes; the sign of det; and the singular triangles (i, j, k).
+        D = V[None, :] - V[:, None]  # D[i, j] = v_j - v_i
+        vmax = _row_absmax(V)
+        emax = _row_absmax(D.reshape(n * n, 2)).reshape(n, n)
+        self._absdets, self._signs, flat = [], [], []
+        for j in range(1, n - 1):
+            det = _det2(D[:j, j, None], D[:j, j + 1 :])
+            # bary_affine_parts' scale: max |v| over the three vertices times max |edge|
+            scale = np.maximum(np.maximum.outer(vmax[:j], vmax[j + 1 :]), vmax[j])
+            scale *= np.maximum(emax[:j, j, None], emax[:j, j + 1 :])
+            singular = _singular(det, scale)
+            self._absdets.append(np.where(singular, np.nan, np.abs(det)))
+            self._signs.append(np.where(det < 0, -1, 1).astype(np.int8))
+            i, k = np.nonzero(singular)
+            flat.append(np.stack([i, np.full_like(i, j), k + j + 1], axis=1))
+        self._degenerate_verts = V[np.concatenate(flat)]
 
-    q_chunk = max(1, SimplexBatch._CHUNK_ELEMS // (n * n))
-    qc = min(q, q_chunk)
-    tables = [np.empty((qc, n * n)) for _ in range(3)]
-    widest = max(x.size for x in absdets)
-    low_buf, val_buf = np.empty(qc * widest), np.empty(qc * widest)
-    hit_buf = np.empty(qc * widest, dtype=bool)
-    thr_buf, sign_buf = np.empty(widest), np.empty(widest)
-    for qs in range(0, q, q_chunk):
-        Xc = X[qs : qs + q_chunk, :, None]
-        c = len(Xc)
-        T0, T1, odd = (tab[:c] for tab in tables)
-        for T, (L, C) in zip((T0, T1), maps):
-            _dot_into(Xc, L, T, odd, odd)  # the last scratch buffer is used for d > 2 only
-            T += C
-        T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
-        for j, absdet, sign8 in zip(range(1, n - 1), absdets, signs):
-            low, val, hit = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf, hit_buf))
-            thr, sign = (b[: absdet.size].reshape(absdet.shape) for b in (thr_buf, sign_buf))
-            np.copyto(sign, sign8)
-            # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j]
-            np.multiply(T1[:, :j, j + 1 :], sign, out=low)
-            np.multiply(T0[:, None, j, j + 1 :], sign, out=val)
-            np.minimum(low, val, out=low)
-            np.multiply(T0[:, :j, j, None], sign, out=val)
-            np.minimum(low, val, out=low)
-            for s, t_s in enumerate(t):
-                np.multiply(t_s, absdet, out=thr)
-                np.greater_equal(low, thr, out=hit)
-                counts[s, qs : qs + c] += hit.reshape(c, -1).view(np.uint8).sum(axis=1, dtype=np.int32)
+    @property
+    def n_degenerate(self) -> int:
+        return len(self._degenerate_verts)
 
-    _add_hull_counts(counts, V[np.concatenate(flat)], X, sigmas, eps)
-    return counts
+    def contains_counts(self, X: np.ndarray, sigmas) -> np.ndarray:
+        """(len(sigmas), q) counts: triangles whose sigma-dilation contains each row of X (q, 2)."""
+        X = np.asarray(X, dtype=float)
+        sigmas = np.asarray(sigmas, dtype=float).ravel()
+        n, q = self.n, len(X)
+        t = _thresholds(sigmas, 2, self.eps)
+        counts = np.zeros((len(sigmas), q), dtype=np.int64)
+
+        q_chunk = max(1, SimplexBatch._CHUNK_ELEMS // (n * n))
+        qc = min(q, q_chunk)
+        tables = [np.empty((qc, n * n)) for _ in range(3)]
+        widest = max(x.size for x in self._absdets)
+        low_buf, val_buf = np.empty(qc * widest), np.empty(qc * widest)
+        hit_buf = np.empty(qc * widest, dtype=bool)
+        thr_buf, sign_buf = np.empty(widest), np.empty(widest)
+        for qs in range(0, q, q_chunk):
+            Xc = X[qs : qs + q_chunk, :, None]
+            c = len(Xc)
+            T0, T1, odd = (tab[:c] for tab in tables)
+            for T, (L, C) in zip((T0, T1), self._maps):
+                _dot_into(Xc, L, T, odd, odd)  # the last scratch buffer is used for d > 2 only
+                T += C
+            T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
+            for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
+                low, val, hit = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf, hit_buf))
+                thr, sign = (b[: absdet.size].reshape(absdet.shape) for b in (thr_buf, sign_buf))
+                np.copyto(sign, sign8)
+                # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j]
+                np.multiply(T1[:, :j, j + 1 :], sign, out=low)
+                np.multiply(T0[:, None, j, j + 1 :], sign, out=val)
+                np.minimum(low, val, out=low)
+                np.multiply(T0[:, :j, j, None], sign, out=val)
+                np.minimum(low, val, out=low)
+                for s, t_s in enumerate(t):
+                    np.multiply(t_s, absdet, out=thr)
+                    np.greater_equal(low, thr, out=hit)
+                    counts[s, qs : qs + c] += hit.reshape(c, -1).view(np.uint8).sum(axis=1, dtype=np.int32)
+
+        _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
+        return counts

@@ -116,6 +116,9 @@ class ScenarioConfig:
             raise InputError("sigma_grid must be nonempty")
         for sigma in self.sigma_grid:
             _depth_cfg(self, sigma, seed=0)  # checks method, budget and sigma
+        # a repeated value would merge its rows into one with doubled reps
+        if len(set(self.sigma_grid)) < len(self.sigma_grid):
+            raise InputError(f"sigma_grid values must be distinct, got {self.sigma_grid!r}")
         if self.classifier not in CLASSIFIERS:
             raise InputError(f"classifier must be one of {CLASSIFIERS}")
         if self.setting not in SETTINGS[self.scenario]:
@@ -124,6 +127,8 @@ class ScenarioConfig:
             raise InputError("scenarios 2 and 3 need a delta_grid; the others take none")
         if not all(delta > 0 for delta in self.delta_grid):
             raise InputError("delta values must be positive")
+        if len(set(self.delta_grid)) < len(self.delta_grid):
+            raise InputError(f"delta_grid values must be distinct, got {self.delta_grid!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -176,6 +176,10 @@ def test_fit_validation():
         fit_dd(d, d, np.array([1, 2, 1]), degree=11)
     with pytest.raises(InputError):
         fit_dd(d, d, np.array([1, 2, 1]), restarts=0)
+    with pytest.raises(InputError):
+        fit_dd(d, d, np.array([1, 2, 1]), degree=2.5)
+    with pytest.raises(InputError):
+        fit_dd(d, d, np.array([1, 2, 1]), degree=2, restarts=1.5)
 
 
 def test_boundary_is_polynomial_through_origin():

@@ -285,6 +285,7 @@ def test_simulate_rejects_unknown_scenario(tmp_path, monkeypatch):
         "simulate --scenario 1 --delta 1",
         "simulate --scenario 4 --delta 1",
         "simulate --scenario 4 --setting foo",
+        "simulate --scenario 4 --sigma-grid 1,1",
     ],
 )
 def test_simulate_rejects_inputs_before_running(tmp_path, monkeypatch, argv):

@@ -25,7 +25,7 @@ from sigmadepth.depth import (
     trimmed_region_grid,
 )
 from sigmadepth.errors import InputError, InsufficientDataError, ResourceCapError
-from sigmadepth.geometry import GeomTolerance, SimplexBatch, pair_table_counts
+from sigmadepth.geometry import GeomTolerance, SimplexBatch, TrianglePairTables
 from sigmadepth.sigma import sample_sigma_blocks
 
 HOEFFDING_TRIALS = 50
@@ -184,6 +184,7 @@ def test_depth_profile_matches_per_sigma_evaluators(d, kind, path, cap, monkeypa
     The per-sigma evaluators run at the default kernel cap with a
     precomputed batch; the profile runs with the cap under test and, on the
     streamed paths, with enumeration or tuples streamed in several chunks.
+    Exact 2-D counts come from pair tables at any size.
     """
     P, X = _profile_corpus(kind, d)
     budget = None if path in ("exact", "streamed") else 150
@@ -194,7 +195,9 @@ def test_depth_profile_matches_per_sigma_evaluators(d, kind, path, cap, monkeypa
         monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
         monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
     ev = DepthEvaluator(P, cfg)
-    if ev._strategy != "count1d":
+    if d == 2 and budget is None:
+        assert ev.strategy == "pairs2d" and ev._batches is not None
+    elif ev._strategy != "count1d":
         assert (ev._batches is None) == ("streamed" in path)
     # n_simplices < 2^53, so equal quotients mean equal counts
     assert np.array_equal(ev.depth_profile(X, PROFILE_SIGMAS), want / ev.n_simplices)
@@ -232,7 +235,7 @@ def test_depth_profile_rejects_bad_sigmas():
 
 
 def test_streaming_enumeration_matches_direct_batch():
-    """n large enough that the exact triangles are counted from pair tables, not kept maps."""
+    """Pair-table counts above the precompute limit equal SimplexBatch over chunks of all triangles."""
     rng = np.random.default_rng(21)
     n = 148  # C(148, 3) = 529396 simplices, above the precompute limit
     data = rng.standard_normal((n, 2))
@@ -291,10 +294,10 @@ def _sorted_rows(triangles):
 def test_pair_tables_match_simplex_batch(kind, monkeypatch):
     """Pair-table counts equal SimplexBatch over all triangles, byte for byte.
 
-    Computed directly and through exact 2-D evaluators above the precompute
-    limit: simplicial, simplex-enlarged over a sigma grid, and block
-    transform at each sigma.  The table cap gives 7 queries per chunk, so
-    302 queries span 44 chunks, the last holding one.
+    Computed directly and through exact 2-D evaluators: simplicial,
+    simplex-enlarged over a sigma grid, and block transform at each sigma.
+    The table cap gives 7 queries per chunk, so 302 queries span 44
+    chunks, the last holding one.
     """
     P, X = _pair_table_corpus(kind)
     batch = _all_triangle_batch(P)
@@ -304,7 +307,6 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
         _all_triangle_batch(sample_sigma_blocks(P, s)).contains_counts(X, [1.0])[0] for s in PAIR_TABLE_SIGMAS
     ]
 
-    monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
     monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", 7 * len(P) ** 2)
     assert len(X) % 7 == 1
     flat = []
@@ -315,7 +317,9 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
         add_hull_counts(counts, verts, *args)
 
     monkeypatch.setattr(geometry, "_add_hull_counts", recorded)
-    assert np.array_equal(pair_table_counts(P, X, PAIR_TABLE_SIGMAS), want)
+    tables = TrianglePairTables(P)
+    assert tables.n_degenerate == batch.n_degenerate
+    assert np.array_equal(tables.contains_counts(X, PAIR_TABLE_SIGMAS), want)
     # the same singular triangles, each with its vertices in (i, j, k) order
     assert np.array_equal(_sorted_rows(flat[0]), _sorted_rows(batch._degenerate_verts))
 
@@ -333,7 +337,7 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
 
 
 def test_pair_table_path_builds_no_simplex_batch(monkeypatch):
-    """Above the precompute limit exact 2-D counting builds no SimplexBatch; d = 3 and MC still do."""
+    """Exact 2-D counting builds no SimplexBatch; streamed d = 3 and MC still do."""
     built = []
     init = SimplexBatch.__init__
 
@@ -342,7 +346,6 @@ def test_pair_table_path_builds_no_simplex_batch(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SimplexBatch, "__init__", counted)
-    monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
     rng = np.random.default_rng(23)
     cases = [
         (rng.standard_normal((12, 2)), exact_cfg(), "pairs2d"),
@@ -350,29 +353,58 @@ def test_pair_table_path_builds_no_simplex_batch(monkeypatch):
         (rng.standard_normal((12, 2)), exact_cfg(budget=50), "mc"),
     ]
     for data, cfg, strategy in cases:
+        if strategy != "pairs2d":
+            monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
+        built.clear()
         ev = DepthEvaluator(data, cfg)
         assert ev.strategy == strategy
-        built.clear()
         ev.depths(rng.standard_normal((4, data.shape[1])))
         assert (len(built) > 0) == (strategy != "pairs2d"), strategy
+
+
+def test_pair_tables_are_built_once_per_evaluator(monkeypatch):
+    """One exact 2-D evaluator builds its pair tables once for all its calls, with fresh evaluators' counts."""
+    rng = np.random.default_rng(25)
+    P = rng.standard_normal((30, 2))
+    queries = [rng.standard_normal((q, 2)) for q in (1, 5, 40)]
+    cfg = exact_cfg(sigma=1.5)
+    want = [DepthEvaluator(P, cfg).depths(X) for X in queries]
+    want_profile = np.stack([DepthEvaluator(P, replace(cfg, sigma=s)).depths(queries[1]) for s in PROFILE_SIGMAS])
+
+    built = []
+    init = TrianglePairTables.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrianglePairTables, "__init__", counted)
+    ev = DepthEvaluator(P, cfg)
+    assert ev.strategy == "pairs2d"
+    got = [ev.depths(X) for X in queries]
+    profile = ev.depth_profile(queries[1], PROFILE_SIGMAS)
+    assert len(built) == 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(profile, want_profile)
 
 
 @pytest.mark.parametrize(
     "shape, cfg, strategy",
     [
         ((10, 1), exact_cfg(), "count1d"),
-        ((10, 2), exact_cfg(), "kept"),
+        ((8, 3), exact_cfg(), "kept"),  # C(8, 4) = 70
         ((150, 2), exact_cfg(), "pairs2d"),  # C(150, 3) = 551 300 > 2^19
         ((62, 3), exact_cfg(), "streamed"),  # C(62, 4) = 557 845
         ((12, 2), exact_cfg(method="dist_enlarged_full"), "streamed"),  # 220 subsets x 7560
         ((10, 2), exact_cfg(budget=100), "mc"),
         ((10, 1), exact_cfg(budget=100), "mc"),
+        ((10, 2), exact_cfg(), "pairs2d"),
     ],
 )
 def test_evaluator_reports_its_strategy(shape, cfg, strategy):
     ev = DepthEvaluator(np.random.default_rng(24).standard_normal(shape), cfg)
     assert ev.strategy == strategy
-    assert (ev._batches is not None) == (strategy in ("kept", "mc"))
+    assert (ev._batches is not None) == (strategy in ("pairs2d", "kept", "mc"))
     with pytest.raises(AttributeError):
         ev.strategy = "kept"
 

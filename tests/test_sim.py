@@ -151,6 +151,8 @@ def test_config_validation():
     with pytest.raises(InputError):
         ScenarioConfig(scenario=3, setting="symmetric", delta_grid=())
     with pytest.raises(InputError):
+        ScenarioConfig(scenario=2, setting="symmetric", delta_grid=(0.5, 0.5))
+    with pytest.raises(InputError):
         ScenarioConfig(scenario=1, setting="normal_location", reps=0)
     with pytest.raises(InputError):
         ScenarioConfig(scenario=1, setting="normal_location", delta_grid=(1.0,))
@@ -196,6 +198,7 @@ def test_config_rejects_bad_fields_before_running(field, value):
         dict(sigma_grid=(math.nan,)),
         dict(sigma_grid=(1.0, math.inf)),
         dict(method="simplicial", sigma_grid=(1.0, 2.0)),
+        dict(sigma_grid=(1.0, 1.0)),
     ],
 )
 def test_config_rejects_bad_sigma_grid_before_running(overrides):
