@@ -4,15 +4,14 @@ A DD-plot scatters (depth w.r.t. class 1, depth w.r.t. class 2); the fitted
 separating curve is a polynomial through the origin, class 2 being the
 region above the curve.  The maximum-depth rule is the DD rule whose curve
 is the diagonal d2 = d1, so both rules share one decision on a batch of
-test points, and every exact tie is resolved by a deterministic fair coin
-derived from a tie seed and a content hash of the tied point's
-coordinates, so repeated runs agree bit for bit while distinct seeds
-average out to a fair allocation.
+test points, and every exact tie is resolved by a deterministic fair coin:
+the top bit of a keyed 64-bit hash of the tie seed and the tied point's
+coordinates, computed for all tied points at once.  Repeated runs agree
+bit for bit while distinct seeds average out to a fair allocation.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +36,49 @@ MAX_DEGREE = 10
 CLASSIFIERS = ("maxdepth", "dd-linear", "dd-poly")
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    """SplitMix64's finalizer on a uint64 array (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _row_hashes(seed: int, X) -> np.ndarray:
+    """(k,) uint64 keyed hashes of the rows of the (k, d) float array X.
+
+    Each row's float64 bit patterns are folded column by column into a state
+    that starts from seed mod 2^64.  X + 0.0 turns -0.0 into 0.0, so the two
+    zeros, equal as points, hash alike.
+    """
+    bits = np.ascontiguousarray(X + 0.0, dtype=np.float64).view(np.uint64)
+    h = np.full(len(bits), int(seed) % 2**64, dtype=np.uint64)
+    for col in bits.T:
+        h = _mix64((h ^ col) + np.uint64(_GAMMA))
+    return h
+
+
 def stable_hash(values) -> int:
     """64-bit content hash of a float array (process-salt independent)."""
-    arr = np.ascontiguousarray(np.asarray(values, dtype=float))
-    digest = hashlib.blake2b(arr.tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    row = np.asarray(values, dtype=float).reshape(1, -1)
+    return int(_row_hashes(0, row)[0])
 
 
-def _tie_coin(tie_seed, values) -> int:
-    """Fair coin for exact ties; deterministic in (tie_seed, values)."""
-    mix = (int(tie_seed) ^ stable_hash(values)) & (2**64 - 1)
-    return 1 + int(np.random.default_rng(mix).integers(2))
+def _tie_coin(tie_seed: int, X) -> np.ndarray:
+    """(k,) fair coins, class 1 or 2, for the tied (k, d) rows X.
+
+    Each coin is the top bit of the row's hash keyed on tie_seed, so it
+    depends on (tie_seed, row) alone: equal rows get equal coins whatever
+    else is in the batch.
+    """
+    return 1 + (_row_hashes(tie_seed, X) >> 63).astype(np.int64)
+
+
+def _check_tie_seed(tie_seed):
+    if not _is_int(tie_seed, 0):
+        raise InputError(f"tie_seed must be a nonnegative integer, got {tie_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +90,7 @@ class DDModel:
     tie_seed: int = 0
 
     def __post_init__(self):
+        _check_tie_seed(self.tie_seed)
         if not 1 <= int(self.degree) <= MAX_DEGREE:
             raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -84,8 +116,10 @@ def _decide(d2, cut, X, tie_seed):
     (0, 0)), so keying the coin on the depth values would assign all of
     them to one class.  Keying on the point coordinates instead gives each
     tied point its own fair flip, which is what the outsider rate tables
-    assume, while staying reproducible.
+    assume, while staying reproducible.  All tied rows flip in one
+    `_tie_coin` call, made only when some row ties.
     """
+    _check_tie_seed(tie_seed)
     X = as_points(X)
     d2 = np.asarray(d2, dtype=float).ravel()
     cut = np.asarray(cut, dtype=float).ravel()
@@ -94,8 +128,9 @@ def _decide(d2, cut, X, tie_seed):
     if not (np.isfinite(d2).all() and np.isfinite(cut).all()):
         raise InputError("depths must be finite")
     out = np.where(d2 > cut, 2, 1).astype(np.int64)
-    for i in np.flatnonzero(d2 == cut):
-        out[i] = _tie_coin(tie_seed, X[i])
+    tied = d2 == cut
+    if tied.any():
+        out[tied] = _tie_coin(tie_seed, X[tied])
     return out
 
 

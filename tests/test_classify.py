@@ -61,6 +61,54 @@ def test_tie_coin_is_roughly_fair_across_seeds():
     assert 0.47 <= hits / 10_000 <= 0.53
 
 
+def test_tie_coin_is_independent_of_the_batch():
+    """A tied row's coin is the one it gets alone, wherever it sits in the batch."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(-3, 4, size=(200, 2)) / 2.0  # 49 distinct rows, many duplicates
+    zeros = np.zeros(len(X))
+    batch = max_depth_classify_batch(zeros, zeros, X, tie_seed=9)
+    alone = [max_depth_classify_batch([0.0], [0.0], x[None], tie_seed=9)[0] for x in X]
+    assert np.array_equal(batch, alone)
+    perm = rng.permutation(len(X))
+    assert np.array_equal(max_depth_classify_batch(zeros, zeros, X[perm], tie_seed=9), batch[perm])
+    assert len(set(batch.tolist())) == 2
+
+
+def test_tie_coin_stream_is_pinned():
+    """Regression guard on the coin stream: rows x tie seeds 0-7."""
+    rows = np.array([[0.0, 0.0], [1.5, -2.25], [1e6, 3.125]])
+    zeros = np.zeros(len(rows))
+    got = np.array([max_depth_classify_batch(zeros, zeros, rows, tie_seed=s) for s in range(8)]).T
+    assert got.tolist() == [
+        [2, 1, 1, 2, 2, 2, 2, 2],
+        [2, 2, 1, 1, 1, 2, 1, 1],
+        [1, 2, 1, 1, 2, 1, 1, 2],
+    ]
+
+
+def test_tie_coin_treats_signed_zeros_as_one_point():
+    for s in range(64):
+        plus, minus = (
+            max_depth_classify_batch([0.0], [0.0], [[x, 1.0]], tie_seed=s)[0] for x in (0.0, -0.0)
+        )
+        assert plus == minus
+
+
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "x", None, True, -1])
+def test_tie_seed_must_be_a_nonnegative_integer(bad):
+    with pytest.raises(InputError, match="tie_seed"):
+        max_depth_classify_batch([0.0], [1.0], [[0.0]], tie_seed=bad)
+    with pytest.raises(InputError, match="tie_seed"):
+        DDModel(1, [1.0], tie_seed=bad)
+
+
+def test_tie_seed_accepts_numpy_and_large_integers():
+    X = [[0.25], [4.0]]
+    for s in (np.int64(5), np.uint64(2**63 + 1), 2**70):
+        assert max_depth_classify_batch([0.0, 0.0], [0.0, 0.0], X, tie_seed=s).shape == (2,)
+    assert DDModel(1, [1.0], tie_seed=np.int32(3)).tie_seed == 3
+
+
 def test_batch_matches_scalar_rule():
     """The rule on X equals the rule on each one-row slice of X."""
     rng = np.random.default_rng(3)
