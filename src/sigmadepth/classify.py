@@ -249,6 +249,10 @@ def predict_dd_points(model: DDModel, d1, d2, X):
     return _decide(d2, model.boundary(d1), X, model.tie_seed)
 
 
+def _class_labels(n1: int, n2: int) -> np.ndarray:
+    return np.r_[np.ones(n1, dtype=np.int64), np.full(n2, 2, dtype=np.int64)]
+
+
 def depth_rows(train1, train2, test, classifier: str):
     """Rows whose per-class depths `classify_points` needs, and the labels of its fit rows.
 
@@ -257,10 +261,7 @@ def depth_rows(train1, train2, test, classifier: str):
     """
     if classifier == "maxdepth":
         return as_points(test), np.empty(0, dtype=np.int64)
-    labels = np.r_[
-        np.ones(len(train1), dtype=np.int64), np.full(len(train2), 2, dtype=np.int64)
-    ]
-    return np.vstack([train1, train2, test]), labels
+    return np.vstack([train1, train2, test]), _class_labels(len(train1), len(train2))
 
 
 def classify_points(

@@ -76,6 +76,15 @@ def _write_text(path: str | None, content: str) -> None:
         Path(path).write_text(content)
 
 
+def _write_points_csv(path: str | None, X: np.ndarray, extra_names: list, extra_rows) -> None:
+    """CSV of the rows of X as x0..x{d-1} (repr of each float), then one extra row per point."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([f"x{j}" for j in range(X.shape[1])] + extra_names)
+    w.writerows([*(repr(float(c)) for c in x), *extra] for x, extra in zip(X, extra_rows))
+    _write_text(path, buf.getvalue())
+
+
 def _echo_config(out: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=1, default=str)
     if out is None:
@@ -105,12 +114,8 @@ def _cmd_depth(args) -> int:
     cfg = _depth_config(args)
     ev = DepthEvaluator(data, cfg)
     vals = ev.depths(queries)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{j}" for j in range(queries.shape[1])] + ["depth", "exact"])
-    for q, v in zip(queries, vals):
-        w.writerow([repr(float(c)) for c in q] + [repr(float(v)), int(ev.exact)])
-    _write_text(args.out, buf.getvalue())
+    rows = [(repr(float(v)), int(ev.exact)) for v in vals]
+    _write_points_csv(args.out, queries, ["depth", "exact"], rows)
     _echo_config(args.out, _flags(args))
     return 0
 
@@ -133,12 +138,8 @@ def _cmd_classify(args) -> int:
         tie_seed=args.seed,
     )
     outs = outsider_mask(train1, train2, test, GeomTolerance(eps=args.tol))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{j}" for j in range(test.shape[1])] + ["predicted_class", "outsider"])
-    for q, p, o in zip(test, pred, outs):
-        w.writerow([repr(float(c)) for c in q] + [int(p), int(o)])
-    _write_text(args.out, buf.getvalue())
+    rows = [(int(p), int(o)) for p, o in zip(pred, outs)]
+    _write_points_csv(args.out, test, ["predicted_class", "outsider"], rows)
     _echo_config(args.out, _flags(args))
     return 0
 

@@ -11,7 +11,7 @@ data points behave deterministically.  Hull membership means sup-norm
 distance at most eps, in data units.  In 1-D that is the interval rule,
 and for a 2-D triangle, flat or not, the distance has a closed form;
 other vertex sets, in practice those with d >= 3, go to the hull LP,
-one query at a time.
+one query at a time, which accepts at its tolerance of about 1e-7.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ def as_simplex(vertices) -> np.ndarray:
 def bary_affine_parts(verts: np.ndarray):
     """Det-scaled barycentric coordinates as affine maps of the query point.
 
-    For a batch of simplices (m, d+1, d) the coordinates of a query x
-    satisfy alpha(x) * det = const + lin @ x.  Returns (const (m, d+1),
-    lin (m, d+1, d), det (m,), scale (m,)).  det and lin come from the
-    edge vectors v_i - v_0, and const_i = -lin_i @ v_j for a vertex
-    v_j != v_i, so the rounding in const + lin @ x grows like |x| * |lin|,
-    not like |x|^2.  scale = max_i |v_i| * max_i |v_i - v_0|^(d-1), in
-    sup norms, bounds that growth, and the singularity test is
-    |det| <= PIVOT_RTOL * scale: a simplex whose det the rounding could
-    swamp counts as degenerate.
+    For a batch of simplices (m, d+1, d) the coordinates of a query x in
+    simplex s satisfy alpha_i(x) * det[s] = const[i, s] + lin[i, :, s] @ x.
+    Returns (const (d+1, m), lin (d+1, d, m), det (m,), scale (m,)), rows
+    first as the kernel reads them.  det and lin come from the edges
+    v_i - v_0, and const_i = -lin_i @ v_j for a vertex v_j != v_i, so the
+    rounding in const + lin @ x grows like |x| * |lin|, not like |x|^2.
+    scale = max_i |v_i| * max_i |v_i - v_0|^(d-1), in sup norms, bounds
+    that growth, and the singularity test is |det| <= PIVOT_RTOL * scale:
+    a simplex whose det the rounding could swamp counts as degenerate.
 
     Closed forms for d = 1, 2 keep the hot paths division-free; larger d
     goes through batched LAPACK.
@@ -95,21 +95,21 @@ def bary_affine_parts(verts: np.ndarray):
     E = verts[:, 1:] - verts[:, :1]
     scale = _row_absmax(verts) * _row_absmax(E) ** (d - 1)
 
-    lin = np.zeros((m, k, d))
+    lin = np.zeros((k, d, m))
     if d == 1:
         det = verts[:, 0, 0] - verts[:, 1, 0]
-        lin[:, 0, 0] = 1.0
-        lin[:, 1, 0] = -1.0
+        lin[0, 0] = 1.0
+        lin[1, 0] = -1.0
     elif d == 2:
         ax, ay = verts[:, 0, 0], verts[:, 0, 1]
         bx, by = verts[:, 1, 0], verts[:, 1, 1]
         cx, cy = verts[:, 2, 0], verts[:, 2, 1]
-        lin[:, 0, 0] = by - cy
-        lin[:, 0, 1] = cx - bx
-        lin[:, 1, 0] = cy - ay
-        lin[:, 1, 1] = ax - cx
-        lin[:, 2, 0] = ay - by
-        lin[:, 2, 1] = bx - ax
+        lin[0, 0] = by - cy
+        lin[0, 1] = cx - bx
+        lin[1, 0] = cy - ay
+        lin[1, 1] = ax - cx
+        lin[2, 0] = ay - by
+        lin[2, 1] = bx - ax
         det = _det2(E[:, 0], E[:, 1])
     else:
         # alpha_1..d = E^{-T} (x - v_0) with E's rows the edges; alpha_0 = 1 - sum.
@@ -117,11 +117,13 @@ def bary_affine_parts(verts: np.ndarray):
         good = ~_singular(det, scale)
         if np.any(good):
             adj = np.linalg.inv(E[good]) * det[good, None, None]
-            lin[good, 1:] = adj.transpose(0, 2, 1)
-        lin[:, 0] = -lin[:, 1:].sum(axis=1)
+            lin[1:, :, good] = adj.transpose(2, 1, 0)
+        lin[0] = -lin[1:].sum(axis=0)
     # alpha_i vanishes at every vertex but v_i: at v_1 for i = 0, else at v_0.
-    const = -np.einsum("mkd,mkd->mk", lin, verts[:, [1] + [0] * d])
-    return const, lin, det, scale
+    const, odd, tmp = np.empty((k, m)), np.empty(m), np.empty(m)
+    for i in range(k):
+        _dot_into(verts[:, int(i == 0)], lin[i], const[i], odd, tmp)
+    return -const, lin, det, scale
 
 
 def _det2(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -157,7 +159,7 @@ def barycentric_coordinates(simplex, x):
     const, lin, det, scale = bary_affine_parts(v[None])
     if _singular(det, scale)[0]:
         return None
-    return (const[0] + lin[0] @ x) / det[0]
+    return (const[:, 0] + lin[:, :, 0] @ x) / det[0]
 
 
 def enlarge_simplex(simplex, sigma: float) -> np.ndarray:
@@ -182,13 +184,13 @@ def enlarge_batch(verts: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> bool:
-    """True iff x lies within tol.eps of the convex hull of the points.
+    """True iff x lies within tol.eps of the convex hull of the points (in d >= 2, about 1e-7).
 
-    Decided by the feasibility program  sum(lam_i * p_i) = x, sum(lam) = 1,
-    lam >= 0, relaxed to minimal sup-norm residual t; membership is t <= eps.
-    The program is solved for the points p_i - x against the origin, so the
-    solver's tolerances act on the spread of the points, not on their
-    distance from the origin.
+    In d >= 2: the program  sum(lam_i * p_i) = x, sum(lam) = 1, lam >= 0,
+    relaxed to minimal sup-norm residual t, with t <= eps; HiGHS meets its
+    constraints only to its feasibility tolerance of about 1e-7.  It runs
+    on the points p_i - x against the origin, so the solver's tolerances
+    act on the spread of the points, not on their distance from the origin.
     """
     pts = as_points(points)
     x = as_point(x)
@@ -220,7 +222,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
 
 def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
-    """Boolean mask over the rows of X (q, d): convex_hull_contains for each row."""
+    """Mask over the rows of X (q, d): within tol.eps of the hull; at eps for 1-D sets and triangles, else by LP."""
     pts = as_points(points)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -236,7 +238,7 @@ def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     if d == 1:
         return (V.min(axis=1) - eps <= X.T) & (X.T <= V.max(axis=1) + eps)
     if d == 2 and k == 3:
-        # the LP's acceptance rule, without the LP
+        # the LP's nominal rule t <= eps + 1e-12, without the LP
         return _triangle_distances(V, X) <= eps + 1e-12
     tol = GeomTolerance(eps=eps)
     return np.array([[convex_hull_contains(v, x, tol) for x in X] for v in V], dtype=bool).reshape(m, len(X))
@@ -321,15 +323,13 @@ class SimplexBatch:
         self.m, k, self.d = verts.shape
         self.eps = float(eps)
         const, lin, det, scale = bary_affine_parts(verts)
-        degenerate = _singular(det, scale)
-        good = ~degenerate
-        sign = np.where(det < 0, -1.0, 1.0)
-        # Decision ingredients for the nonsingular members only, laid out as
-        # const (d+1, m) and lin (d+1, d, m) so each kernel pass reads rows.
-        self._const = np.ascontiguousarray((const[good] * sign[good, None]).T)
-        self._lin = np.ascontiguousarray((lin[good] * sign[good, None, None]).transpose(1, 2, 0))
+        good = ~_singular(det, scale)
+        sign = np.where(det[good] < 0, -1.0, 1.0)
+        # The nonsingular members' maps; np.compress keeps the row layout C-contiguous.
+        self._const = np.compress(good, const, axis=1) * sign
+        self._lin = np.compress(good, lin, axis=2) * sign
         self._absdet = np.abs(det[good])
-        self._degenerate_verts = verts[degenerate]
+        self._degenerate_verts = verts[~good]
 
     @property
     def n_degenerate(self) -> int:
@@ -389,13 +389,13 @@ def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigma
 
 
 def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tmp: np.ndarray) -> None:
-    """out = sum_j X[:, j] * L[j] for X (q, d, 1) and L (d, m), with no temporaries.
+    """out = sum_j X[:, j] * L[j] for L (d, m) and X (q, d, 1), or (m, d) for one point per map.
 
-    The terms are summed in the order in which numpy's einsum sums a short
-    contraction in two SIMD lanes (even j, odd j, then the two partial
-    sums), so for d <= 7 the values are bit-identical to the former
-    einsum("mkd,qd->qmk") kernel on such builds (numpy 2.4 on x86-64).
-    odd and tmp are scratch buffers shaped like out; tmp is used for d > 2.
+    The one summation order of the map constants, kernel and pair tables:
+    numpy einsum's for a short contraction in two SIMD lanes (even j, odd
+    j, then the two partial sums), bit-identical to it for d <= 7 on numpy
+    2.4 x86-64, as test_streaming_kernel_matches_einsum pins.  odd and tmp
+    are scratch buffers shaped like out; tmp is used for d > 2.
     """
     d = len(L)
     np.multiply(X[:, 0], L[0], out=out)
@@ -417,15 +417,16 @@ class TrianglePairTables:
     T_r[a, b] = x . L_r[a, b] + C_r[a, b], summed by _dot_into, and the
     det-scaled values of triangle (i, j, k) are T0[j, k], T1[i, k] and
     T0[i, j]: the very doubles of the map kernel, before its sign flip to
-    det > 0, which is exact.  So the decision is the kernel's: the least of
-    the three values times sign(det) is >= t(sigma)*|det|.  Per middle
-    vertex j the triangles fill the rectangle T1[:j, j+1:], with
-    T0[j, j+1:] broadcast down its rows and T0[:j, j] across its columns.
-    det and the singularity rule are those of bary_affine_parts on the
-    edges v_j - v_i and v_k - v_i; singular triangles take the hull
-    fallback, as in SimplexBatch.
+    det > 0, which is exact.  With v_0 = v_1, row 1's map is exactly row
+    0's negated, so T1 = -T0 and only row 0's map is kept.  So the
+    decision is the kernel's: the least of the three values times
+    sign(det) is >= t(sigma)*|det|.  Per middle vertex j the triangles
+    fill the rectangle T1[:j, j+1:], with T0[j, j+1:] broadcast down its
+    rows and T0[:j, j] across its columns.  det and the singularity rule
+    are those of bary_affine_parts on the edges v_j - v_i and v_k - v_i;
+    singular triangles take the hull fallback, as in SimplexBatch.
 
-    The pair maps, |det| and sign(det) (9 bytes per triangle) and the
+    The pair map, |det| and sign(det) (9 bytes per triangle) and the
     singular triangles are built once, here.  The pair tables of one query
     chunk hold at most SimplexBatch._CHUNK_ELEMS elements each, or one
     query's n^2 if that is more.
@@ -437,7 +438,7 @@ class TrianglePairTables:
         self.eps = float(eps)
         a, b = np.divmod(np.arange(n * n), n)
         const, lin, _, _ = bary_affine_parts(V[np.stack([a, a, b], axis=1)])
-        self._maps = [(np.ascontiguousarray(lin[:, r].T), const[:, r]) for r in (0, 1)]
+        self._lin, self._const = lin[0].copy(), const[0].copy()
 
         # Per middle vertex j: |det|, NaN where singular so that no threshold
         # passes; the sign of det; and the singular triangles (i, j, k).
@@ -480,9 +481,9 @@ class TrianglePairTables:
             Xc = X[qs : qs + q_chunk, :, None]
             c = len(Xc)
             T0, T1, odd = (tab[:c] for tab in tables)
-            for T, (L, C) in zip((T0, T1), self._maps):
-                _dot_into(Xc, L, T, odd, odd)  # the last scratch buffer is used for d > 2 only
-                T += C
+            _dot_into(Xc, self._lin, T0, odd, odd)  # the last scratch buffer is used for d > 2 only
+            T0 += self._const
+            np.negative(T0, out=T1)
             T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
             for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
                 low, val, hit = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf, hit_buf))

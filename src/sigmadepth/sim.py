@@ -38,6 +38,7 @@ import numpy as np
 from .classify import (
     CLASSIFIERS,
     MAX_DEGREE,
+    _class_labels,
     classify_points,
     depth_rows,
     misclassification_rate,
@@ -412,10 +413,6 @@ def _rates(pred, truth, omask):
     return rate, orate
 
 
-def _truth(n1: int, n2: int) -> np.ndarray:
-    return np.r_[np.ones(n1, dtype=np.int64), np.full(n2, 2, dtype=np.int64)]
-
-
 # Data functions: (cfg, rng, delta) -> (train1, train2, test, truth), where
 # delta is the sweep value of scenarios 2 and 3 and None otherwise.
 
@@ -435,7 +432,7 @@ def _sim1_data(cfg: ScenarioConfig, rng, delta):
     train1 = draw(cfg.n_train)
     train2 = draw(cfg.n_train) * factor + shift
     test = np.vstack([draw(half), draw(cfg.n_test - half) * factor + shift])
-    return train1, train2, test, _truth(half, cfg.n_test - half)
+    return train1, train2, test, _class_labels(half, cfg.n_test - half)
 
 
 def _sim2_data(cfg: ScenarioConfig, rng, delta):
@@ -449,7 +446,7 @@ def _sim2_data(cfg: ScenarioConfig, rng, delta):
             rng.standard_normal((cfg.n_test - half, 2)) + [mu3, 0.0],
         ]
     )
-    return train1, train2, test, _truth(half, cfg.n_test - half)
+    return train1, train2, test, _class_labels(half, cfg.n_test - half)
 
 
 def _draw_in_band(rng, mean: float, band: str, delta: float, n: int) -> np.ndarray:
@@ -473,7 +470,7 @@ def _sim3_data(cfg: ScenarioConfig, rng, delta):
     half = cfg.n_test // 2
     test1 = _draw_in_band(rng, -2.0, cfg.setting, delta, half)
     test2 = _draw_in_band(rng, 2.0, cfg.setting, delta, cfg.n_test - half)
-    return raw1, raw2, np.vstack([test1, test2]), _truth(half, cfg.n_test - half)
+    return raw1, raw2, np.vstack([test1, test2]), _class_labels(half, cfg.n_test - half)
 
 
 def _sim4_data(cfg: ScenarioConfig, rng, delta):
@@ -486,7 +483,7 @@ def _sim4_data(cfg: ScenarioConfig, rng, delta):
             rng.uniform(0.0, 1.0, (cfg.n_test - half, 1)),
         ]
     )
-    return train1, train2, test, _truth(half, cfg.n_test - half)
+    return train1, train2, test, _class_labels(half, cfg.n_test - half)
 
 
 _DATA = {1: _sim1_data, 2: _sim2_data, 3: _sim3_data, 4: _sim4_data}
@@ -574,14 +571,17 @@ def smallest_covering_sigma(train1, train2, X, cfg: DepthConfig | None = None) -
     """Smallest sigma giving every query positive depth for some class.
 
     Uses that positive depth is monotone in sigma for the simplex-dilated
-    method: doubling from COVER_LO finds a bracket below COVER_HI_CAP, and
-    bisection refines it to a width of COVER_TOL.  One evaluator
-    per class, built once, answers every probe through `depth_profile`,
-    with the same values as fresh evaluators at each sigma.  This is the
-    practical sigma-selection rule suggested by the interval-support
-    analysis: just large enough that no query is a double outsider.
+    method, the only one accepted (InputError otherwise): doubling from
+    COVER_LO finds a bracket below COVER_HI_CAP, and bisection refines it
+    to a width of COVER_TOL.  One evaluator per class, built once, answers
+    every probe through `depth_profile`, with the same values as fresh
+    evaluators at each sigma.  This is the practical sigma-selection rule
+    suggested by the interval-support analysis: just large enough that no
+    query is a double outsider.
     """
     base = cfg if cfg is not None else DepthConfig(method="simplex_enlarged")
+    if base.method != "simplex_enlarged":
+        raise InputError(f"smallest_covering_sigma needs method 'simplex_enlarged', got {base.method!r}")
     train1 = as_points(train1)
     train2 = as_points(train2)
     X = as_points(X)

@@ -120,29 +120,9 @@ def _mass_split(P: DiscreteDistribution, mu: np.ndarray):
     )
 
 
-def check_angular_symmetry(P: DiscreteDistribution, mu) -> SymmetryVerdict:
-    """Test that (X-mu)/|X-mu| and its negation are identically distributed.
-
-    Equivalent (Zuo-Serfling) to P(u'(X-mu) >= 0) = P(u'(mu-X) >= 0) for
-    every direction u, checked over the critical direction set.  The atom
-    at mu (where the ratio is undefined) is excluded from both sides.
-    """
-    mu = _checker_inputs(P, mu)
-    diffs, norms, wts, _ = _mass_split(P, mu)
-    if len(diffs) == 0:
-        return SymmetryVerdict(True, mu, None)
-    tolv = PROJ_RTOL * norms
-    for u in _critical_directions(diffs, P.dim):
-        proj = diffs @ u
-        pos = float(wts[proj >= -tolv].sum())
-        neg = float(wts[proj <= tolv].sum())
-        if abs(pos - neg) > PROB_TOL:
-            return SymmetryVerdict(False, None, u)
-    return SymmetryVerdict(True, mu, None)
-
-
-def check_halfspace_symmetry(P: DiscreteDistribution, mu) -> SymmetryVerdict:
-    """Test that every closed halfspace through mu has mass >= 1/2."""
+def _direction_scan(P: DiscreteDistribution, mu, fails) -> SymmetryVerdict:
+    """Verdict of the first critical direction u with fails(pos, neg, w_center): the masses
+    of the closed halfplanes u'(X - mu) >= 0 and <= 0 without the atom at mu, and its mass."""
     mu = _checker_inputs(P, mu)
     diffs, norms, wts, w_center = _mass_split(P, mu)
     if len(diffs) == 0:
@@ -150,11 +130,27 @@ def check_halfspace_symmetry(P: DiscreteDistribution, mu) -> SymmetryVerdict:
     tolv = PROJ_RTOL * norms
     for u in _critical_directions(diffs, P.dim):
         proj = diffs @ u
-        pos = float(wts[proj >= -tolv].sum()) + w_center
-        neg = float(wts[proj <= tolv].sum()) + w_center
-        if pos < 0.5 - PROB_TOL or neg < 0.5 - PROB_TOL:
+        pos = float(wts[proj >= -tolv].sum())
+        neg = float(wts[proj <= tolv].sum())
+        if fails(pos, neg, w_center):
             return SymmetryVerdict(False, None, u)
     return SymmetryVerdict(True, mu, None)
+
+
+def check_angular_symmetry(P: DiscreteDistribution, mu) -> SymmetryVerdict:
+    """Test that (X-mu)/|X-mu| and its negation are identically distributed.
+
+    Equivalent (Zuo-Serfling) to P(u'(X-mu) >= 0) = P(u'(mu-X) >= 0) for
+    every direction u, checked over the critical direction set.  The atom
+    at mu (where the ratio is undefined) is excluded from both sides.
+    """
+    return _direction_scan(P, mu, lambda pos, neg, w_center: abs(pos - neg) > PROB_TOL)
+
+
+def check_halfspace_symmetry(P: DiscreteDistribution, mu) -> SymmetryVerdict:
+    """Test that every closed halfspace through mu has mass >= 1/2."""
+    # float addition is monotone, so min(pos, neg) + w is min(pos + w, neg + w) exactly
+    return _direction_scan(P, mu, lambda pos, neg, w_center: min(pos, neg) + w_center < 0.5 - PROB_TOL)
 
 
 def projection_median_interval(P: DiscreteDistribution, u):

@@ -64,6 +64,18 @@ def test_hull_rejects_empty():
         convex_hull_contains(np.empty((0, 2)), [0.0, 0.0])
 
 
+def test_triangle_hull_mask_decides_at_eps():
+    """The flat-triangle closed form decides at eps, not at the LP's feasibility tolerance.
+
+    x is 1.84e-8 from the segment, in exact arithmetic: outside at the
+    default eps of 1e-9, inside at 2e-8.
+    """
+    V = np.array([[2.0, 3.0], [1.0, 1.0], [1.0, 1.0]])
+    x = np.array([[1.3333334550077849, 1.666666965233481]])
+    assert convex_hull_contains_many(V, x).tolist() == [False]
+    assert convex_hull_contains_many(V, x, GeomTolerance(eps=2e-8)).tolist() == [True]
+
+
 def test_barycentric_centroid():
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     lam = barycentric_coordinates(tri, [1 / 3, 1 / 3])

@@ -4,9 +4,11 @@ Each case's expected text is committed under tests/golden/.  The cases cover
 all four scenarios, the three classifiers, exact and Monte-Carlo depth, the
 elliptical sampler, both bands, the scenario-3 unfiltered baseline, an
 empty scenario-3 test set, and exact CLI depth through 1-D pair counting
-(1/8-grid data with ties, queried at its own points) and through 2-D
-triangle enumeration.  A change that deliberately moves a random stream
-or the arithmetic of a path changes these files: regenerate them with
+(1/8-grid data with ties, queried at its own points), through 2-D
+triangle enumeration, and through the kept 3-D barycentric maps (decimal
+data near 1e4, queried at its own points and their consecutive
+midpoints).  A change that deliberately moves a random stream or the
+arithmetic of a path changes these files: regenerate them with
 `PYTHONPATH=src python tests/test_golden.py` and record the change in
 CHANGES.md.
 """
@@ -81,6 +83,7 @@ CLASSIFY_INPUTS = ("classify_train1.csv", "classify_train2.csv", "classify_test.
 DEPTH_RUNS = {
     "depth_1d_enlarged": ("depth1d_data.csv", "depth1d_data.csv", "simplex-enlarged", "2"),
     "depth_2d_simplicial": ("classify_train1.csv", "classify_test.csv", "simplicial", "1"),
+    "depth_3d_enlarged": ("depth3d_data.csv", "depth3d_query.csv", "simplex-enlarged", "2"),
 }
 
 

@@ -304,6 +304,19 @@ def test_smallest_covering_sigma_interval_case():
     assert (d > 0).all()
 
 
+@pytest.mark.parametrize("method", ["simplicial", "dist_enlarged_blocks"])
+def test_smallest_covering_sigma_rejects_methods_it_cannot_bisect(method):
+    """Refused up front: simplicial depth has no sigma, and a distribution method no shown monotonicity."""
+    from sigmadepth.depth import DepthConfig
+
+    rng = np.random.default_rng(6)
+    train1 = rng.uniform(-2.0, -1.0, size=(200, 1))
+    train2 = rng.uniform(1.0, 2.0, size=(200, 1))
+    X = rng.uniform(-0.9, 0.9, size=(300, 1))
+    with pytest.raises(InputError, match="simplex_enlarged"):
+        smallest_covering_sigma(train1, train2, X, DepthConfig(method=method))
+
+
 @pytest.mark.parametrize("case", ["interval", "mc2d"])
 def test_smallest_covering_sigma_reuses_one_evaluator_per_class(case, monkeypatch):
     """Same answer as two fresh evaluators per probe, from two evaluators in all."""
