@@ -91,8 +91,8 @@ class DDModel:
 
     def __post_init__(self):
         _check_tie_seed(self.tie_seed)
-        if not 1 <= int(self.degree) <= MAX_DEGREE:
-            raise InputError(f"degree must be in [1, {MAX_DEGREE}]")
+        if not _is_int(self.degree, 1) or self.degree > MAX_DEGREE:
+            raise InputError(f"degree must be an integer in [1, {MAX_DEGREE}], got {self.degree!r}")
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         if coeffs.shape != (self.degree,):
             raise InputError("need exactly one coefficient per degree")

@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import GeomTolerance, SimplexBatch, TrianglePairTables, as_point, as_points
-from .sigma import check_sigma, sample_sigma_blocks
+from .geometry import GeomTolerance, SimplexBatch, TrianglePairTables, as_point, as_points, check_sigma
+from .sigma import sample_sigma_blocks
 
 METHODS = (
     "simplicial",

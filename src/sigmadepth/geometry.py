@@ -9,13 +9,16 @@ Degenerate (affinely dependent) simplices are legal: containment then
 falls back to convex-hull membership of the vertex set, so duplicated
 data points behave deterministically.  Hull membership means sup-norm
 distance at most eps, in data units.  In 1-D that is the interval rule,
-and for a 2-D triangle, flat or not, the distance has a closed form;
-other vertex sets, in practice those with d >= 3, go to the hull LP,
-one query at a time, which accepts at its tolerance of about 1e-7.
+and in 2-D and 3-D one slab rule over the facet normals of the hull
+dilated by the eps-cube decides it, flat sets too; other vertex sets, in
+practice d >= 4 or a flat training cloud, go to the hull LP, one query
+at a time, which accepts at its tolerance of about 1e-7.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +165,16 @@ def barycentric_coordinates(simplex, x):
     return (const[:, 0] + lin[:, :, 0] @ x) / det[0]
 
 
+def check_sigma(sigma: float) -> float:
+    # a bool is a flag, not a number
+    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
+        raise InputError(f"sigma must be a real number, got {sigma!r}")
+    sigma = float(sigma)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InputError(f"sigma must be finite and > 0, got {sigma}")
+    return sigma
+
+
 def enlarge_simplex(simplex, sigma: float) -> np.ndarray:
     """Dilate a simplex by factor sigma about its vertex centroid.
 
@@ -169,8 +182,7 @@ def enlarge_simplex(simplex, sigma: float) -> np.ndarray:
     therefore preserved exactly; sigma = 1 is the identity.
     """
     v = as_simplex(simplex)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise InputError(f"sigma must be finite and > 0, got {sigma}")
+    sigma = check_sigma(sigma)
     # At sigma = 1 enlarge_batch hands back its input, which may be the caller's array.
     return enlarge_batch(v[None], sigma)[0].copy()
 
@@ -222,7 +234,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
 
 def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
-    """Mask over the rows of X (q, d): within tol.eps of the hull; at eps for 1-D sets and triangles, else by LP."""
+    """Mask over the rows of X (q, d): within tol.eps of the hull, by the rules of _hulls_contain."""
     pts = as_points(points)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -233,45 +245,35 @@ def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -
 
 
 def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
-    """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d)."""
+    """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d).
+
+    1-D: the interval rule.  d = 2, 3 and k <= d + 1: the slab rule.  x is
+    within r = eps + 1e-12 of conv(V) iff it lies in conv(V) + [-r, r]^d,
+    whose facet normals are cross products of d - 1 vertex differences or
+    axes (Gritzmann & Sturmfels 1993): 5 candidates per triangle, 36 per
+    tetrahedron.  Each u, zero or not a facet normal too, gives a valid slab
+    min_k u.(x - v_k) <= r|u|_1, max_k u.(x - v_k) >= -r|u|_1, measured from
+    every vertex so a vertex always passes.  Other sets go to the LP.
+    """
     m, k, d = V.shape
     if d == 1:
         return (V.min(axis=1) - eps <= X.T) & (X.T <= V.max(axis=1) + eps)
-    if d == 2 and k == 3:
-        # the LP's nominal rule t <= eps + 1e-12, without the LP
-        return _triangle_distances(V, X) <= eps + 1e-12
-    tol = GeomTolerance(eps=eps)
-    return np.array([[convex_hull_contains(v, x, tol) for x in X] for v in V], dtype=bool).reshape(m, len(X))
-
-
-def _triangle_distances(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(m, q) sup-norm distances from the rows of X (q, 2) to the triangles V (m, 3, 2), flat ones too.
-
-    A query strictly inside by the orientation signs of v_j - x is at
-    distance 0; otherwise the distance is the least over the three edges.
-    A sign counts only where the cross product exceeds its rounding error
-    bound, for near a flat triangle's line the rounded signs may be noise.
-    On the edge from v_j along b = v_{j+1} - v_j, f(s) = max_i |a_i - s * b_i|
-    with a = x - v_j is the larger of two convex V-shapes, so its minimum
-    over [0, 1] sits at 0, 1, or where they cross: s = (a_0 -+ a_1) / (b_0 -+ b_1).
-    """
-    R = V[:, None] - X[:, None]  # (m, q, 3, 2): v_j - x
-    S = np.roll(R, -1, axis=2)
-    p, q = R[..., 0] * S[..., 1], R[..., 1] * S[..., 0]
-    # |rounded - exact cross| <= 4u (|p| + |q|) with u = 2**-53, the rounding of
-    # v_j - x included; 2**-50 = 8u covers the second-order terms
-    err = 2.0**-50 * (np.abs(p) + np.abs(q))
-    cross = p - q
-    inside = (cross > err).all(axis=2) | (cross < -err).all(axis=2)
-
-    a = -R[..., None, :]  # (m, q, 3, 1, 2)
-    b = (np.roll(V, -1, axis=1) - V)[:, None, :, None]
-    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.concatenate(np.broadcast_arrays(0.0, 1.0, (a0 - a1) / (b0 - b1), (a0 + a1) / (b0 + b1)), axis=-1)
-    s = np.clip(np.nan_to_num(s), 0.0, 1.0)
-    f = np.maximum(np.abs(a0 - s * b0), np.abs(a1 - s * b1))
-    return np.where(inside, 0.0, f.min(axis=(2, 3)))
+    if d > 3 or k > d + 1:
+        tol = GeomTolerance(eps=eps)
+        return np.array([[convex_hull_contains(v, x, tol) for x in X] for v in V], dtype=bool).reshape(m, len(X))
+    a, b = np.triu_indices(k, 1)
+    dirs = np.concatenate([V[:, b] - V[:, a], np.broadcast_to(np.eye(d), (m, d, d))], axis=1)
+    if d == 2:
+        U = np.stack([-dirs[..., 1], dirs[..., 0]], axis=-1)
+    else:
+        a, b = np.triu_indices(dirs.shape[1], 1)
+        U = np.cross(dirs[:, a], dirs[:, b])
+    Y = X[None, :, None] - V[:, None]  # (m, q, k, d): x - v_k
+    dots = U[:, :, None, None, 0] * Y[:, None, ..., 0]  # (m, c, q, k)
+    for j in range(1, d):
+        dots += U[:, :, None, None, j] * Y[:, None, ..., j]
+    slack = (eps + 1e-12) * np.abs(U).sum(axis=2)[..., None]
+    return ((dots.min(axis=3) <= slack) & (dots.max(axis=3) >= -slack)).all(axis=1)
 
 
 def simplex_contains(simplex, x, tol: GeomTolerance = GeomTolerance()) -> bool:
@@ -380,8 +382,11 @@ def _thresholds(sigmas: np.ndarray, d: int, eps: float) -> np.ndarray:
 
 def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigmas, eps: float) -> None:
     """Add to counts (len(sigmas), q) the degenerate simplices verts (m, d+1, d) whose
-    sigma-dilated vertex set holds each row of X within eps, in chunks of the simplices."""
-    chunk = max(1, SimplexBatch._CHUNK_ELEMS // max(X.size, 1))
+    sigma-dilated vertex set holds each row of X within eps, in chunks of the simplices
+    whose (simplices, normals, queries, vertices) slab tensor fits in _CHUNK_ELEMS."""
+    _, p, d = verts.shape
+    per_simplex = len(X) * p * math.comb(math.comb(p, 2) + d, d - 1)
+    chunk = max(1, SimplexBatch._CHUNK_ELEMS // max(per_simplex, 1))
     for ms in range(0, len(verts), chunk):
         dv = verts[ms : ms + chunk]
         for k, sigma in enumerate(sigmas):

@@ -17,13 +17,12 @@ reflected atoms.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, ResourceCapError
-from .geometry import as_points
+from .geometry import as_points, check_sigma
 
 MERGE_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -120,16 +119,6 @@ def uniform_on(points) -> DiscreteDistribution:
 def point_mass(point) -> DiscreteDistribution:
     pts = as_points(np.asarray(point, dtype=float)[None, :])
     return DiscreteDistribution(pts, np.ones(1))
-
-
-def check_sigma(sigma: float) -> float:
-    # a bool is a flag, not a number
-    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
-        raise InputError(f"sigma must be a real number, got {sigma!r}")
-    sigma = float(sigma)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise InputError(f"sigma must be finite and > 0, got {sigma}")
-    return sigma
 
 
 def _combine_blocks(blocks: np.ndarray, sigma: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 Everything here trades speed for directness: the full-transform depth is
 re-derived from all ordered index tuples with no combinatorial reduction,
 and population depths come from closed forms or plain midpoint quadrature.
+Hull distances are exact rationals of the float inputs.
 Test-only: it lives beside the tests and is not installed with the package.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -220,3 +222,99 @@ def smallest_covering_sigma_rebuild(train1, train2, X, cfg, lo=1.0, hi_cap=64.0,
         else:
             lo = mid
     return hi
+
+
+def _det_exact(M):
+    """Determinant of a square list of Fraction rows by exact elimination."""
+    M = [list(row) for row in M]
+    n = len(M)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, n):
+            f = M[r][c] / M[c][c]
+            if f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
+
+
+def hull_distances_exact(V, X):
+    """Exact sup-norm distances (Fractions) from the rows of X (q, d) to the hull of the rows of V (k, d).
+
+    x lies within r of conv(V) iff it lies in the Minkowski sum
+    conv(V) + [-r, r]^d, whose facet normals are generalized cross products
+    of d - 1 edge directions of the summands (Gritzmann & Sturmfels 1993):
+    differences of two vertices, or axes.  Every such u bounds the distance
+    below by (u.x - max_k u.v_k) / |u|_1, and the facet normals attain it,
+    so the distance is the largest bound over the candidates and both
+    signs, or 0.  hull_distance_lp_exact checks this without the theorem.
+    """
+    V = [[Fraction(float(c)) for c in v] for v in np.atleast_2d(np.asarray(V, dtype=float))]
+    d = len(V[0])
+    axes = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    dirs = [[a - b for a, b in zip(v, w)] for v, w in itertools.combinations(V, 2)] + axes
+    normals = []
+    for rows in itertools.combinations(dirs, d - 1):
+        u = [(-1) ** i * _det_exact([r[:i] + r[i + 1 :] for r in rows]) for i in range(d)]
+        if any(u):
+            dots = [sum(a * b for a, b in zip(u, v)) for v in V]
+            normals.append((u, min(dots), max(dots), sum(abs(a) for a in u)))
+    out = []
+    for x in np.asarray(X, dtype=float).reshape(-1, d):
+        x = [Fraction(float(c)) for c in x]
+        best = Fraction(0)
+        for u, lo, hi, norm in normals:
+            ux = sum(a * b for a, b in zip(u, x))
+            best = max(best, (ux - hi) / norm, (lo - ux) / norm)
+        out.append(best)
+    return out
+
+
+def hull_contains_exact(V, X, eps: float):
+    """Exact hull membership of the rows of X at eps: distance at most eps + 1e-12, the mask's rule."""
+    r = Fraction(eps + 1e-12)
+    return [dist <= r for dist in hull_distances_exact(V, X)]
+
+
+def hull_distance_lp_exact(V, x):
+    """The hull LP of convex_hull_contains, solved exactly by vertex enumeration.
+
+    min t over (lam, t) with sum(lam) = 1, lam >= 0 and
+    -t <= sum_i lam_i (v_i - x)_j <= t.  The region holds no line and t is
+    bounded below, so the minimum sits at a vertex: every choice of k of
+    the 2d + k inequalities, made tight with the equality, is solved in
+    Fractions, and the least t among the feasible solutions is returned.
+    C(2d + k, k) solves, about 85 ms a query for a tetrahedron in 3-D.
+    """
+    V = [[Fraction(float(c)) for c in v] for v in np.atleast_2d(np.asarray(V, dtype=float))]
+    x = [Fraction(float(c)) for c in np.atleast_1d(np.asarray(x, dtype=float))]
+    k, d = len(V), len(x)
+    one, zero = Fraction(1), Fraction(0)
+    # rows (a, b) of a . (lam, t) <= b
+    ineq = []
+    for j in range(d):
+        rel = [v[j] - x[j] for v in V]
+        ineq.append((rel + [-one], zero))
+        ineq.append(([-c for c in rel] + [-one], zero))
+    for i in range(k):
+        ineq.append(([-one if c == i else zero for c in range(k)] + [zero], zero))
+    eq = ([one] * k + [zero], one)
+    best = None
+    for tight in itertools.combinations(ineq, k):
+        rows = [eq, *tight]
+        A = [list(a) for a, _ in rows]
+        det = _det_exact(A)
+        if det == 0:
+            continue
+        # Cramer's rule: column c replaced by the right-hand side
+        z = [_det_exact([row[:c] + [b] + row[c + 1 :] for row, (_, b) in zip(A, rows)]) / det for c in range(k + 1)]
+        if all(sum(a * v for a, v in zip(row, z)) <= b for row, b in ineq):
+            if best is None or z[-1] < best:
+                best = z[-1]
+    return best

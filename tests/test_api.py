@@ -59,8 +59,9 @@ def test_perfbench_tracer_targets_resolve():
 
 def test_import_leaves_scipy_optimize_unloaded():
     """The package and its CLI import without scipy.optimize or scipy.special; only the LP,
-    the fits and the scenario-3 band draws need them.  Flat 1-D and 2-D hulls are decided in
-    closed form, so exact 2-D depth on tied data and a flat training cloud leave the LP unloaded."""
+    the fits and the scenario-3 band draws need them.  Flat hulls in d <= 3 are decided by the
+    interval and slab rules, so exact 2-D and 3-D depth on grid data (109 flat tetrahedra, queries
+    in their planes) and a flat training cloud leave the LP unloaded."""
     src = str(Path(sigmadepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     mods = ("scipy.optimize", "scipy.special")
@@ -71,6 +72,10 @@ def test_import_leaves_scipy_optimize_unloaded():
         "ev = sd.DepthEvaluator(grid, sd.DepthConfig('simplex_enlarged', sigma=1.5))\n"
         "counts = [60, 60, 2, 92, 92, 0, 60, 60, 2, 6, 6, 6]\n"
         "assert ev.exact and ev.contain_counts(grid + 1 / 16).tolist() == counts\n"
+        "grid = np.array([[i / 4, j / 4, k / 4] for i in range(3) for j in range(2) for k in range(2)])\n"
+        "ev = sd.DepthEvaluator(grid, sd.DepthConfig('simplex_enlarged', sigma=1.5))\n"
+        "counts = [104, 104, 0, 0, 104, 104, 0, 0, 1, 1, 0, 0]\n"
+        "assert ev.exact and ev.contain_counts(grid + [1 / 8, 1 / 8, 0]).tolist() == counts\n"
         "line = np.column_stack([np.arange(5.0), 2 * np.arange(5.0)])\n"
         "mask = sd.outsider_mask(line, line + [0, 10], np.array([[1.5, 3.0], [1.5, 4.0]]))\n"
         "assert mask.tolist() == [False, True]\n"

@@ -102,6 +102,14 @@ def test_tie_seed_must_be_a_nonnegative_integer(bad):
         DDModel(1, [1.0], tie_seed=bad)
 
 
+@pytest.mark.parametrize("degree", [True, 2.0, np.float64(1.0), "1", 0, 11])
+def test_dd_model_degree_must_be_an_integer_in_range(degree):
+    """DDModel checks its degree as fit_dd does: a bool or an integral float is refused."""
+    with pytest.raises(InputError, match="degree must"):
+        DDModel(degree, [1.0] * min(max(int(degree), 1), 11))
+    assert DDModel(np.int64(2), [1.0, 2.0]).degree == 2
+
+
 def test_tie_seed_accepts_numpy_and_large_integers():
     X = [[0.25], [4.0]]
     for s in (np.int64(5), np.uint64(2**63 + 1), 2**70):

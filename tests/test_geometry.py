@@ -18,6 +18,8 @@ from sigmadepth.geometry import (
     simplex_contains,
 )
 
+from oracle import hull_contains_exact
+
 RTOL = 1e-12
 
 
@@ -37,7 +39,7 @@ def test_enlarge_triangle_about_centroid():
     assert np.allclose(out, [[-1.0, -1.0], [5.0, -1.0], [-1.0, 5.0]], rtol=RTOL)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), "2", None, True])
 def test_enlarge_rejects_bad_sigma(sigma):
     with pytest.raises(InputError):
         enlarge_simplex([[0.0], [1.0]], sigma)
@@ -65,7 +67,7 @@ def test_hull_rejects_empty():
 
 
 def test_triangle_hull_mask_decides_at_eps():
-    """The flat-triangle closed form decides at eps, not at the LP's feasibility tolerance.
+    """The slab rule decides a flat triangle at eps, not at the LP's feasibility tolerance.
 
     x is 1.84e-8 from the segment, in exact arithmetic: outside at the
     default eps of 1e-9, inside at 2e-8.
@@ -165,10 +167,12 @@ def _flat_grid_sets(d, seed):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
 def test_screened_hull_mask_matches_lp(d, sigma, eps):
-    """The batched hull mask agrees with the plain LP on degenerate grid sets.
+    """The batched hull mask agrees with the exact rational distance on degenerate grid sets.
 
     Queries sit at the vertices, at the midpoints of vertex pairs, and just
-    off the set: within and beyond the slack, and up to 1e-3 away.
+    off the set: within and beyond the slack, and up to 1e-3 away.  The
+    reference is exact, not the LP, which accepts at its own tolerance of
+    about 1e-7: at eps 1e-9 in 3-D it accepts queries 1.2e-9 away.
     """
     tol = GeomTolerance(eps=eps)
     P, combos = _flat_grid_sets(d, seed=d)
@@ -180,10 +184,41 @@ def test_screened_hull_mask_matches_lp(d, sigma, eps):
         mids = np.array([(a + b) / 2 for a, b in itertools.combinations(V, 2)])
         off = (mids[0] + offsets[:, None, None] * directions).reshape(-1, d)
         X = np.vstack([V, mids, off])
-        want = [bool(convex_hull_contains(V, x, tol)) for x in X]
+        want = hull_contains_exact(V, X, eps)
         assert convex_hull_contains_many(V, X, tol).tolist() == want
         decided.update(want)
     assert decided == {True, False}
+
+
+def _flat_corpus_3d(kind, rng):
+    """Five coplanar 3-D points: on the quarter grid, as two-decimal data at 1e4, or three distinct points with repeats."""
+    if kind == "duplicate":
+        return rng.integers(-4, 5, (3, 3))[[0, 1, 2, 0, 1]] / 4
+    ab = rng.integers(-4, 5, (5, 2))
+    c = rng.integers(-2, 3, 2)
+    P = np.column_stack([ab, ab @ c])
+    if kind == "grid":
+        return P / 4
+    return np.array([[f"{1e4 + 0.01 * v:.2f}" for v in p] for p in P], dtype=float)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["grid", "decimal", "duplicate"]), st.sampled_from([1.0, 1.5, 3.0]))
+@settings(max_examples=15, deadline=None)
+def test_flat_3d_counts_match_exact_hulls(seed, kind, sigma):
+    """Every tetrahedron of a flat 3-D corpus is degenerate, and the counts equal the exact rational rule.
+
+    Queries sit at the points, at their midpoints, 2e-9 and 5e-10 off
+    them, at the centroid, and far away.
+    """
+    rng = np.random.default_rng(seed)
+    P = _flat_corpus_3d(kind, rng)
+    verts = P[np.array(list(itertools.combinations(range(len(P)), 4)))]
+    off = rng.choice([-1.0, 1.0], P.shape) * rng.choice([2e-9, 5e-10], (len(P), 1))
+    X = np.vstack([P, (P[:-1] + P[1:]) / 2, P + off, P.mean(axis=0), P[0] + 1.0])
+    batch = SimplexBatch(verts)
+    assert batch.n_degenerate == len(verts)
+    want = np.sum([hull_contains_exact(V, X, batch.eps) for V in enlarge_batch(verts, sigma)], axis=0)
+    assert batch.contains_counts(X, [sigma]).tolist() == [want.tolist()]
 
 
 def _count_lp_calls(monkeypatch):
@@ -199,7 +234,7 @@ def _count_lp_calls(monkeypatch):
 
 
 def test_far_queries_skip_the_hull_lp(monkeypatch):
-    """A flat triangle is decided in closed form, far or near; a flat tetrahedron still takes the LP."""
+    """Flat triangles and tetrahedra are decided by the slab rule, far or near; a flat 4-simplex still takes the LP."""
     calls = _count_lp_calls(monkeypatch)
     batch = SimplexBatch(np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]]))
     far = np.array([[5.0, -5.0], [10.0, 10.0], [-3.0, 4.0], [1.0, 1.5]])
@@ -207,14 +242,17 @@ def test_far_queries_skip_the_hull_lp(monkeypatch):
     assert batch.contains_counts(np.array([[1.5, 1.5]]), [1.0]).tolist() == [[1]]
     assert len(calls) == 0
     flat = SimplexBatch(np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]]))
-    assert flat.contains_counts(np.array([[0.5, 0.5, 0.0]]), [1.0]).tolist() == [[1]]
+    assert flat.contains_counts(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 1e-3]]), [1.0]).tolist() == [[1, 0]]
+    assert len(calls) == 0
+    flat4 = SimplexBatch(np.vstack([np.zeros(4), np.eye(4)[:3], np.eye(4)[0] + np.eye(4)[1]])[None])
+    assert flat4.contains_counts(np.array([[0.5, 0.5, 0.0, 0.0]]), [1.0]).tolist() == [[1]]
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("eps", [1e-9, 0.25])
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
 def test_collinear_triangles_match_lp(sigma, eps):
-    """The closed-form triangle rule agrees with the LP on collinear sets.
+    """The slab rule agrees with the LP on collinear triangles.
 
     Queries sit at the vertices, at the segment ends and their float
     neighbours, at offsets from 1e-6 to 1e8 off a segment end and the
@@ -258,7 +296,8 @@ def test_sliver_triangle_needs_orientation_and_every_edge():
     measured only the distance to the segment between the lexicographic
     extremes would lose it (vertex counts [1, 0, 1]).  At 1e6 the sliver
     is 5e-7 thick and its centroid is farther than eps from every edge, so
-    only the orientation test calls it inside.
+    a rule that only measured distances to the edges would lose it; the
+    slab rule keeps it, for it lies inside every slab.
     """
     for mag, h in [(1e4, 5e-9), (1e6, 5e-7)]:
         V = mag + np.array([[0.0, 0.0], [1.0, 1.0 + h], [2.0, 2.0]])

@@ -10,6 +10,8 @@ from sigmadepth.errors import InputError, InsufficientDataError
 
 from oracle import (
     analytic_depth_1d_uniform,
+    hull_distance_lp_exact,
+    hull_distances_exact,
     naive_full_depth,
     two_interval_depth_quadrature,
 )
@@ -66,6 +68,43 @@ def test_full_estimator_matches_naive_2d(n, sigma):
     assert est.value == ref.value
     # the reduced enumeration revisits each configuration 48x less often
     assert ref.work == 48 * est.simplices_evaluated
+
+
+def _small_hull_cases():
+    """36 vertex sets of 1 to d + 1 points on a small grid (d = 1, 2, 3), with repeats and
+    flat ones; the queries sit on a quarter grid around them or 1e-9 off a vertex."""
+    rng = np.random.default_rng(2)
+    for case in range(36):
+        d = 1 + case % 3
+        k = 1 + (case // 3) % (d + 1)
+        V = rng.integers(-2, 3, (k, d)).astype(float)
+        if k > 1 and case % 4 == 0:
+            V[-1] = V[0]
+        if k > 2 and case % 5 == 0:
+            V[-1] = 2 * V[1] - V[0]
+        near = V[0] + rng.choice([-2e-9, 1e-9, 3e-9], d)
+        yield V, np.vstack([rng.integers(-12, 13, (1 if d == 3 else 2, d)) / 4, near])
+
+
+def test_exact_hull_distance_matches_vertex_enumeration_lp():
+    """The cross-product distance equals the optimum of the exact LP on every query:
+    inside, within 1e-8, and farther."""
+    sizes, kinds = set(), set()
+    for V, X in _small_hull_cases():
+        sizes.add(V.shape)
+        fast = hull_distances_exact(V, X)
+        assert fast == [hull_distance_lp_exact(V, x) for x in X]
+        kinds.update((dist > 0) + (dist > 1e-8) for dist in fast)
+    assert len(sizes) == 9 and kinds == {0, 1, 2}
+
+
+def test_exact_hull_distance_of_an_lp_false_inside():
+    """A query the float LP accepts at eps 1e-9 is 1.2e-9 from the flat tetrahedron."""
+    V = np.array([[2.0, 0.0, 0.0], [-1.0, -1.0, 2.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    x = np.array([0.5, -0.5, 1 + 2e-9])
+    (dist,) = hull_distances_exact(V, [x])
+    assert dist == hull_distance_lp_exact(V, x)
+    assert 1.19e-9 < dist < 1.21e-9
 
 
 def test_analytic_uniform_parabola():
