@@ -316,11 +316,12 @@ def _hull_contains_mask(train, X, tol: GeomTolerance):
             hull = ConvexHull(train)
         except QhullError:
             # Qhull rejects flat clouds, and also clouds flat only within its
-            # own precision.  Where every point lies on the segment between the
-            # lexicographic extremes, that segment, a flat triangle, is the hull.
+            # own precision.  Where every point lies within tol of the segment
+            # between the lexicographic extremes, that segment, a flat
+            # triangle, is the hull at tol.
             if d == 2:
                 seg = train[np.lexsort(train.T[::-1])][[0, -1, -1]]
-                if convex_hull_contains_many(seg, train, GeomTolerance(eps=0.0)).all():
+                if convex_hull_contains_many(seg, train, tol).all():
                     train = seg
         else:
             dist = X @ hull.equations[:, :d].T + hull.equations[:, d]

@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from . import geometry
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import GeomTolerance, SimplexBatch, TrianglePairTables, as_point, as_points, check_sigma
 from .sigma import sample_sigma_blocks
@@ -54,8 +54,6 @@ _PRECOMP_MAX = 2**19
 # chunks hold whole subsets, so one subset's pattern table must fit in one
 # chunk: 7560 simplices in 2-D, but 672 672 000 in 3-D.
 _STREAM_CHUNK = 2**18
-# Threads for 1-D pair counting: the cores this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _is_count(value) -> bool:
@@ -161,7 +159,15 @@ def full_pattern_count(p: int) -> int:
 
 
 def _random_tuples(rng, n: int, r: int, m: int, chunk: int):
-    """Yield m uniformly random r-tuples of distinct indices in [0, n)."""
+    """Yield m uniformly random r-tuples of distinct indices in [0, n), in chunks of at most `chunk` rows.
+
+    With 2r >= n each row is the first r of a random permutation (argsort
+    of n uniforms).  Otherwise rows are drawn with replacement and every
+    row holding an index twice is redrawn, all such rows at once, until
+    none is left.  Those rows are found by OR-ing the C(r, 2) column
+    equalities, without sorting any row; the redraws, and so the random
+    stream, depend only on which rows repeat an index.
+    """
     remaining = m
     while remaining > 0:
         c = min(chunk, remaining)
@@ -172,12 +178,25 @@ def _random_tuples(rng, n: int, r: int, m: int, chunk: int):
         else:
             idx = rng.integers(0, n, size=(c, r))
             while True:
-                bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
+                bad = _repeats(idx)
                 if not bad.any():
                     break
                 idx[bad] = rng.integers(0, n, size=(int(bad.sum()), r))
         yield idx
         remaining -= c
+
+
+def _repeats(idx: np.ndarray) -> np.ndarray:
+    """Rows of idx (c, r) holding some index twice.
+
+    The columns are copied out once, contiguous; the copy lives in this
+    frame, not in the generator's, so it is freed before the chunk is yielded.
+    """
+    cols = idx.T.copy()
+    bad = np.zeros(len(idx), dtype=bool)
+    for a, b in itertools.combinations(range(len(cols)), 2):
+        bad |= cols[a] == cols[b]
+    return bad
 
 
 def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
@@ -212,7 +231,7 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float)
 
     sigmas = [float(s) for s in np.ravel(sigmas)]
     counts = np.empty((len(x), len(sigmas)), dtype=np.int64)
-    step = max(1, min(SimplexBatch._CHUNK_ELEMS // n, math.ceil(len(x) / _WORKERS)))
+    step = max(1, min(SimplexBatch._CHUNK_ELEMS // n, math.ceil(len(x) / geometry._WORKERS)))
 
     def count_chunk(s):
         xq = x[s : s + step, None]
@@ -235,17 +254,7 @@ def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float)
                 fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
             counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
 
-    starts = range(0, len(x), step)
-    if len(starts) <= 1:
-        for s in starts:
-            count_chunk(s)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Leaving the block joins every worker; map re-raises a worker's exception.
-        with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
-            for _ in pool.map(count_chunk, starts):
-                pass
+    geometry._on_threads(count_chunk, range(0, len(x), step))
     return counts
 
 

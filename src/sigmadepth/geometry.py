@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ from .errors import InputError
 DEFAULT_EPS = 1e-9
 # Relative determinant threshold below which a vertex matrix counts as singular.
 PIVOT_RTOL = 1e-12
+# Threads for the containment kernel and 1-D pair counting: the cores this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -307,9 +310,23 @@ class SimplexBatch:
     in a (q_chunk, m_chunk) float buffer and keeps their running minimum.
     Only the threshold t(sigma)*|det| depends on sigma, and "min >= thr" is
     exactly "all >= thr" for finite floats, so one pass compares the
-    minimum with every sigma's threshold and counts the survivors.  Every
-    buffer holds at most _CHUNK_ELEMS elements, so memory does not grow
-    with the number of queries, simplices, sigmas or the dimension.
+    minimum with every sigma's threshold and counts the survivors: up to 8
+    sigmas per numpy call, their hit masks in the bytes of a float buffer
+    that is free by then.  Every buffer holds at most _CHUNK_ELEMS
+    elements, so memory does not grow with the number of queries,
+    simplices, sigmas or the dimension.
+
+    The query chunks are split into one contiguous block per thread, at
+    most _WORKERS of them.  Per simplex chunk the calling thread computes
+    the thresholds once, and each thread runs the loop above over its
+    block, on its own columns of the integer counts, so the counts do not
+    depend on the split; a single query chunk runs on the calling thread.
+    Each thread keeps buffers of the full _CHUNK_ELEMS: numpy releases the
+    GIL only inside a call, and with smaller chunks the threads queue for
+    it between short calls and run slower than one thread.  The buffers
+    are allocated on the calling thread, which keeps peak memory lower
+    than allocating them in the workers.  The hull fallback runs on the
+    calling thread after the last join.
 
     The t(sigma) threshold is monotone in sigma even in float arithmetic
     (products and sums of monotone terms), so containment indicators never
@@ -348,28 +365,41 @@ class SimplexBatch:
         t = _thresholds(sigmas, self.d, self.eps)
 
         mg = len(self._absdet)
-        if mg:
+        if mg and q:
             m_chunk = min(mg, self._CHUNK_ELEMS)
             q_chunk = max(1, self._CHUNK_ELEMS // m_chunk)
+            chunks = math.ceil(q / q_chunk)
+            block = math.ceil(chunks / min(_WORKERS, chunks)) * q_chunk
             shape = (min(q, q_chunk), m_chunk)
-            bufs = [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=bool)]
-            for ms in range(0, mg, m_chunk):
-                lin = self._lin[:, :, ms : ms + m_chunk]
-                const = self._const[:, ms : ms + m_chunk]
-                thr = t[:, None] * self._absdet[ms : ms + m_chunk]
-                for qs in range(0, q, q_chunk):
+            starts = range(0, q, block)
+            blocks = [(s, [np.empty(shape) for _ in range(4)]) for s in starts]
+
+            def count_block(job):
+                """The query chunks of one block against the simplex chunk of lin, const and thr."""
+                start, bufs = job
+                # Once low is final, val's bytes hold the hit masks of up to 8 sigmas.
+                planes = bufs[1].reshape(-1).view(bool)
+                for qs in range(start, min(start + block, q), q_chunk):
                     Xc = X[qs : qs + q_chunk, :, None]
-                    low, val, odd, term, hit = (b[: len(Xc), : thr.shape[1]] for b in bufs)
+                    r, w = len(Xc), thr.shape[1]
+                    low, val, odd, term = (b[:r, :w] for b in bufs)
                     _dot_into(Xc, lin[0], low, odd, term)
                     low += const[0]
                     for i in range(1, self.d + 1):
                         _dot_into(Xc, lin[i], val, odd, term)
                         val += const[i]
                         np.minimum(low, val, out=low)
-                    for k, thr_k in enumerate(thr):
-                        np.greater_equal(low, thr_k, out=hit)
-                        # summing bytes into int32 is about twice as fast as count_nonzero(axis=1)
-                        counts[k, qs : qs + q_chunk] += hit.view(np.uint8).sum(axis=1, dtype=np.int32)
+                    for k in range(0, len(thr), 8):
+                        hit = planes[: len(thr[k : k + 8]) * r * w].reshape(-1, r, w)
+                        np.greater_equal(low, thr[k : k + 8, None], out=hit)
+                        # summing bytes into int32 is about twice as fast as count_nonzero
+                        counts[k : k + 8, qs : qs + r] += hit.view(np.uint8).sum(axis=2, dtype=np.int32)
+
+            for ms in range(0, mg, m_chunk):
+                lin = self._lin[:, :, ms : ms + m_chunk]
+                const = self._const[:, ms : ms + m_chunk]
+                thr = t[:, None] * self._absdet[ms : ms + m_chunk]
+                _on_threads(count_block, blocks)
 
         _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts
@@ -391,6 +421,25 @@ def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigma
         dv = verts[ms : ms + chunk]
         for k, sigma in enumerate(sigmas):
             counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, eps).sum(axis=0)
+
+
+def _on_threads(fn, jobs) -> None:
+    """fn(job) for every job, on min(_WORKERS, len(jobs)) threads, or on the calling thread if that is one.
+
+    Leaving the pool joins every worker, and map re-raises a worker's
+    exception.  concurrent.futures is imported here, so start-up does not
+    pay for it.
+    """
+    workers = min(_WORKERS, len(jobs))
+    if workers < 2:
+        for job in jobs:
+            fn(job)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, jobs):
+            pass
 
 
 def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tmp: np.ndarray) -> None:

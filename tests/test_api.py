@@ -86,8 +86,9 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_thread_pool_unloaded():
-    """The package and its CLI import without concurrent.futures; only a 1-D pair count
-    with more than one query chunk loads it, so start-up pays nothing for the pool."""
+    """The package and its CLI import without concurrent.futures; only a call that splits its
+    queries over threads (1-D pair counting or the SimplexBatch kernel, with more than one query
+    chunk on more than one core) loads it, so start-up pays nothing for the pool."""
     src = str(Path(sigmadepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, sigmadepth, sigmadepth.cli\nprint('concurrent.futures' in sys.modules)"

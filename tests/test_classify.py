@@ -1,8 +1,16 @@
 """Tests for the max-depth and DD-plot classifiers."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracle import hull_contains_exact
 
+import sigmadepth
 from sigmadepth.classify import (
     DDModel,
     classify_points,
@@ -16,6 +24,7 @@ from sigmadepth.classify import (
 )
 from sigmadepth.depth import DepthConfig, DepthEvaluator
 from sigmadepth.errors import InputError
+from sigmadepth.geometry import DEFAULT_EPS, GeomTolerance, convex_hull_contains_many
 
 CFG = DepthConfig(method="simplex_enlarged", sigma=2.0)
 
@@ -330,6 +339,51 @@ def test_outsider_mask_nearly_flat_cloud():
     with pytest.raises(QhullError):
         ConvexHull(cloud)
     assert not outsider_mask(cloud, cloud + [10.0, 0.0], cloud).any()
+
+
+@pytest.mark.parametrize("base", [1e4, 1e6])
+def test_outsider_mask_decimal_collinear_cloud(base):
+    """A collinear cloud written to one decimal gets the exact hull masks without the LP.
+
+    The points (base + 0.1a, 2 base + 0.3a), a = 0..8, lie up to about
+    1e-12 off the segment between their extremes, off it at eps 0 but
+    within the default eps.  Qhull rejects the cloud, the segment stands
+    for it, and in a fresh interpreter scipy.optimize stays unloaded.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    cloud = np.array([[float(f"{base + 0.1 * a:.1f}"), float(f"{2 * base + 0.3 * a:.1f}")] for a in range(9)])
+    other = cloud + [0.0, 10.0]
+    seg = cloud[[0, -1, -1]]
+    with pytest.raises(QhullError):
+        ConvexHull(cloud)
+    assert not convex_hull_contains_many(seg, cloud, GeomTolerance(eps=0.0)).all()
+    span = cloud[-1] - cloud[0]
+    X = np.vstack(
+        [
+            cloud,
+            other,
+            (cloud[:-1] + cloud[1:]) / 2,
+            cloud[0] + [[-0.5], [-0.01], [1.01], [1.5]] * span,
+            cloud + [0.0, 1e-3],
+            cloud - [1e-6, 0.0],
+            cloud[4] + [[0.5, 0.0], [0.0, 5.0], [3.0, -3.0]],
+        ]
+    )
+    inside = zip(hull_contains_exact(cloud, X, DEFAULT_EPS), hull_contains_exact(other, X, DEFAULT_EPS))
+    want = [not (a or b) for a, b in inside]
+    assert {True, False} <= set(want)
+
+    src = str(Path(sigmadepth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, sys, numpy as np, sigmadepth as sd\n"
+        "cloud, other, X = (np.array(a) for a in json.loads(sys.stdin.read()))\n"
+        "print(json.dumps([sd.outsider_mask(cloud, other, X).tolist(), 'scipy.optimize' in sys.modules]))"
+    )
+    arrays = json.dumps([cloud.tolist(), other.tolist(), X.tolist()])
+    out = subprocess.run([sys.executable, "-c", code], input=arrays, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [want, False]
 
 
 def test_outsider_mask_one_dimensional():

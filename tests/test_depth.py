@@ -463,6 +463,44 @@ def test_full_transform_monte_carlo_matches_per_tuple_reference(d, streamed, mon
     assert np.array_equal(ev.contain_counts(X), want)
 
 
+def _random_tuples_sorted(rng, n, r, m, chunk):
+    """_random_tuples with a sort-and-diff duplicate check: the reference for its rows and draws."""
+    while m > 0:
+        c = min(chunk, m)
+        if 2 * r >= n:
+            idx = np.argsort(rng.random((c, n)), axis=1)[:, :r]
+        else:
+            idx = rng.integers(0, n, size=(c, r))
+            while True:
+                bad = (np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)
+                if not bad.any():
+                    break
+                idx[bad] = rng.integers(0, n, size=(int(bad.sum()), r))
+        yield idx
+        m -= c
+
+
+@pytest.mark.parametrize("r", [3, 4, 9])
+def test_random_tuples_keep_their_bytes(r):
+    """The tuples equal the sort-and-diff reference byte for byte, and the generator ends in the same state.
+
+    n runs from 2r, the last size drawn by permutation, and 2r + 1, the
+    first drawn with redraws, up to 400, over several seeds and chunk
+    sizes, so no random stream moves.
+    """
+    for n in (2 * r, 2 * r + 1, 2 * r + 2, 3 * r + 1, 60, 400):
+        for seed in (0, 1, 7):
+            for m, chunk in ((3000, 3000), (2500, 700)):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = list(_random_tuples(rng, n, r, m, chunk))
+                want = list(_random_tuples_sorted(ref, n, r, m, chunk))
+                assert [(g.dtype, g.shape, g.tobytes()) for g in got] == [(w.dtype, w.shape, w.tobytes()) for w in want]
+                assert rng.bit_generator.state == ref.bit_generator.state
+                rows = np.concatenate(got)
+                assert all(len(set(row)) == r for row in rows.tolist())
+                assert rows.min() >= 0 and rows.max() < n
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_one_dim_counting_matches_pair_batch(seed):
@@ -531,7 +569,7 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
         for sigma in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0):
             for eps in (1e-9, 0.0):
                 X = _pair_count_queries(v, sigma, eps)
-                step = max(1, min(cap // n, math.ceil(len(X) / depth_module._WORKERS)))
+                step = max(1, min(cap // n, math.ceil(len(X) / geometry._WORKERS)))
                 hit |= [step == 1, len(X) % step > 0, n > cap]
                 got = _count_pairs_1d(v, X, [sigma], eps)[:, 0]
                 assert np.array_equal(got, count_pairs_1d_loop(v, X, sigma, eps)), (n, sigma, eps)
@@ -559,7 +597,7 @@ def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
             for cap in caps:
                 monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
                 for workers in (1, 2, 3, 8):
-                    monkeypatch.setattr(depth_module, "_WORKERS", workers)
+                    monkeypatch.setattr(geometry, "_WORKERS", workers)
                     for q in (0, 1, 7, len(X)):
                         step = max(1, min(cap // n, math.ceil(q / workers)))
                         chunks = math.ceil(q / step)

@@ -1,4 +1,7 @@
 import itertools
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -252,15 +255,15 @@ def test_far_queries_skip_the_hull_lp(monkeypatch):
 @pytest.mark.parametrize("eps", [1e-9, 0.25])
 @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0])
 def test_collinear_triangles_match_lp(sigma, eps):
-    """The slab rule agrees with the LP on collinear triangles.
+    """The slab rule agrees with the exact rational distance on collinear triangles.
 
     Queries sit at the vertices, at the segment ends and their float
     neighbours, at offsets from 1e-6 to 1e8 off a segment end and the
     segment's midpoint, in four directions, and on the segment's line at
-    grid and decimal steps inside it and past each end.  Offsets stay far
-    from eps, where the LP's own feasibility tolerance (about 1e-7) would
-    decide.  The last two sets have centroids that round at sigma 1.5 and
-    2, so their dilated vertices are collinear only up to rounding.
+    grid and decimal steps inside it and past each end.  The last two sets
+    have centroids that round at sigma 1.5 and 2, so their dilated vertices
+    are collinear only up to rounding.  The test keeps its name from when
+    the hull LP was the reference.
     """
     tol = GeomTolerance(eps=eps)
     base = [
@@ -283,7 +286,7 @@ def test_collinear_triangles_match_lp(sigma, eps):
         off = (np.vstack([ends[:1], ends.mean(axis=0)])[:, None, None] + offsets[:, None, None] * directions).reshape(-1, 2)
         on_line = ends[0] + steps[:, None] * (ends[1] - ends[0])
         X = np.vstack([V, ends, near, off, on_line])
-        want = [bool(convex_hull_contains(V, x, tol)) for x in X]
+        want = hull_contains_exact(V, X, eps)
         assert convex_hull_contains_many(V, X, tol).tolist() == want
         decided.update(want)
     assert decided == {True, False}
@@ -395,8 +398,8 @@ def _parity_case(kind, d):
     return P[combos], X
 
 
-# Unsorted, with a repeat and a shrinking factor below 1.
-PARITY_SIGMAS = (3.0, 1.0, 1.5, 1.0, 0.5, 5.0)
+# Unsorted, with a repeat and shrinking factors below 1; more than 8, so the kernel compares them in two groups.
+PARITY_SIGMAS = (3.0, 1.0, 1.5, 1.0, 0.5, 5.0, 1.2, 2.0, 4.0, 0.8, 2.5)
 
 
 @pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
@@ -427,6 +430,64 @@ def test_streaming_kernel_matches_einsum(d, kind, cap, monkeypatch):
             assert row.tolist() == _einsum_counts(batch, X, sigma).tolist()
             assert row.tolist() == batch.contains_counts(X, [sigma])[0].tolist()
     assert cap > 24 or hit.all()
+
+
+def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
+    """Threaded query blocks give the einsum reference's counts for a whole sigma grid.
+
+    Grid triangles, with degenerate members, and decimal tetrahedra at 1e4
+    are counted on 1, 2, 3 and 8 workers, with the default chunk cap and a
+    cap of 24, under which the simplices take several chunks.  The cases
+    cover q = 0, q = 1, one query chunk, more query chunks than workers and
+    a ragged last block, and no thread outlives a call.
+    """
+    default = SimplexBatch._CHUNK_ELEMS
+    # q 0, q 1, one query chunk, chunks > workers, ragged last block, several simplex chunks, degenerate members
+    hit = np.zeros(7, dtype=bool)
+    for kind, d in (("grid", 2), ("decimal", 3)):
+        verts, X = _parity_case(kind, d)
+        for m in (len(verts), 7):
+            batch = SimplexBatch(verts[-m:])
+            mg = m - batch.n_degenerate
+            want = np.array([_einsum_counts(batch, X, sigma) for sigma in PARITY_SIGMAS])
+            for cap in (default, 24):
+                monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+                q_chunk = cap // max(1, min(mg, cap))
+                for workers in (1, 2, 3, 8):
+                    monkeypatch.setattr(geometry, "_WORKERS", workers)
+                    for q in (0, 1, 7, len(X)):
+                        chunks = math.ceil(q / q_chunk)
+                        block = math.ceil(chunks / max(1, min(workers, chunks))) * q_chunk
+                        ragged = q > block and q % block > 0
+                        hit |= [q == 0, q == 1, q > 1 and chunks == 1, chunks > workers > 1, ragged, mg > cap, m > mg]
+                        threads = threading.active_count()
+                        got = batch.contains_counts(X[:q], PARITY_SIGMAS)
+                        assert threading.active_count() == threads
+                        assert got.shape == (len(PARITY_SIGMAS), q)
+                        assert np.array_equal(got, want[:, :q]), (kind, m, cap, workers, q)
+    assert hit.all()
+
+
+def test_simplex_batch_threads_keep_their_counts_under_stress(monkeypatch):
+    """Eight workers on two or more cores, switching threads every microsecond, count as one does.
+
+    Each of the 19 query chunks is a full kernel chunk, so the workers
+    overlap for most of a call; a buffer or counts row shared between them
+    would change some count.
+    """
+    rng = np.random.default_rng(17)
+    batch = SimplexBatch(rng.standard_normal((2000, 3, 2)))
+    X = rng.standard_normal((600, 2))
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    want = batch.contains_counts(X, PARITY_SIGMAS)
+    monkeypatch.setattr(geometry, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(batch.contains_counts(X, PARITY_SIGMAS), want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tolerance_validation():
