@@ -22,7 +22,6 @@ from .geometry import DEFAULT_EPS, GeomTolerance, as_points, convex_hull_contain
 
 __all__ = [
     "DDModel",
-    "stable_hash",
     "max_depth_classify_batch",
     "fit_dd",
     "predict_dd_points",
@@ -58,12 +57,6 @@ def _row_hashes(seed: int, X) -> np.ndarray:
     for col in bits.T:
         h = _mix64((h ^ col) + np.uint64(_GAMMA))
     return h
-
-
-def stable_hash(values) -> int:
-    """64-bit content hash of a float array (process-salt independent)."""
-    row = np.asarray(values, dtype=float).reshape(1, -1)
-    return int(_row_hashes(0, row)[0])
 
 
 def _tie_coin(tie_seed: int, X) -> np.ndarray:
@@ -307,38 +300,17 @@ def classify_points(
     return predict_dd_points(model, test1, test2, test)
 
 
-def _hull_contains_mask(train, X, tol: GeomTolerance):
-    d = train.shape[1]
-    if d > 1:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            hull = ConvexHull(train)
-        except QhullError:
-            # Qhull rejects flat clouds, and also clouds flat only within its
-            # own precision.  Where every point lies within tol of the segment
-            # between the lexicographic extremes, that segment, a flat
-            # triangle, is the hull at tol.
-            if d == 2:
-                seg = train[np.lexsort(train.T[::-1])][[0, -1, -1]]
-                if convex_hull_contains_many(seg, train, tol).all():
-                    train = seg
-        else:
-            dist = X @ hull.equations[:, :d].T + hull.equations[:, d]
-            return (dist <= tol.eps + 1e-12).all(axis=1)
-    return convex_hull_contains_many(train, X, tol)
-
-
 def outsider_mask(train1, train2, test, tol: GeomTolerance | None = None):
-    """True for test points outside the convex hulls of BOTH training sets."""
+    """True for test points outside the convex hulls of BOTH training sets,
+    each decided by geometry.convex_hull_contains_many at tol.eps."""
     tol = tol if tol is not None else GeomTolerance(eps=DEFAULT_EPS)
     train1 = as_points(train1)
     train2 = as_points(train2)
     test = as_points(test)
     if not train1.shape[1] == train2.shape[1] == test.shape[1]:
         raise InputError("dimension mismatch between training and test sets")
-    in1 = _hull_contains_mask(train1, test, tol)
-    in2 = _hull_contains_mask(train2, test, tol)
+    in1 = convex_hull_contains_many(train1, test, tol)
+    in2 = convex_hull_contains_many(train2, test, tol)
     return ~(in1 | in2)
 
 

@@ -451,13 +451,9 @@ def depth_maximizer(data, cfg: DepthConfig) -> np.ndarray:
     """
     data = as_points(data)
     ev = DepthEvaluator(data, cfg)
-    lo = data.min(axis=0)
-    hi = data.max(axis=0)
 
     if data.shape[1] <= 3:
-        axes = [np.linspace(lo[j], hi[j], 21) for j in range(data.shape[1])]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([m.ravel() for m in mesh], axis=1)
+        _, cand = _grid(data, 21)
     else:
         cand = np.vstack([data, data.mean(axis=0)[None, :]])
 
@@ -478,6 +474,22 @@ def depth_maximizer(data, cfg: DepthConfig) -> np.ndarray:
     return np.asarray(x0, dtype=float)
 
 
+def _grid(data: np.ndarray, grid):
+    """(axes, nodes in "ij" order) of grid: nodes per axis over the bounding
+    box of data (n, d), or one coordinate array per axis."""
+    if _is_int(grid, 2):
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        axes = [np.linspace(lo[j], hi[j], int(grid)) for j in range(data.shape[1])]
+    elif np.ndim(grid) == 0:
+        raise InputError(f"grid must be a node count >= 2 or one coordinate array per axis, got {grid!r}")
+    else:
+        axes = [np.asarray(a, dtype=float).ravel() for a in grid]
+        if len(axes) != data.shape[1] or any(len(a) < 1 for a in axes):
+            raise InputError("grid must give one coordinate array per axis")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes, np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def trimmed_region_grid(data, cfg: DepthConfig, alpha: float, grid=21):
     """Boolean mask of grid nodes with depth >= alpha (upper level set).
 
@@ -486,25 +498,14 @@ def trimmed_region_grid(data, cfg: DepthConfig, alpha: float, grid=21):
     shaped like the grid.  d <= 2 only.
     """
     data = as_points(data)
-    n, d = data.shape
+    d = data.shape[1]
     if d > 2:
         raise InputError("trimmed regions are exported for d <= 2 only")
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0) or not np.isfinite(alpha):
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
 
-    if isinstance(grid, (int, np.integer)):
-        if grid < 2:
-            raise InputError("grid needs at least 2 nodes per axis")
-        lo, hi = data.min(axis=0), data.max(axis=0)
-        axes = [np.linspace(lo[j], hi[j], int(grid)) for j in range(d)]
-    else:
-        axes = [np.asarray(a, dtype=float).ravel() for a in grid]
-        if len(axes) != d or any(len(a) < 1 for a in axes):
-            raise InputError("grid must give one coordinate array per axis")
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    axes, pts = _grid(data, grid)
     vals = DepthEvaluator(data, cfg).depths(pts)
     mask = (vals >= alpha).reshape([len(a) for a in axes])
     return axes, mask

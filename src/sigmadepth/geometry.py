@@ -7,12 +7,10 @@ point exactly on a facet counts as inside regardless of rounding.
 
 Degenerate (affinely dependent) simplices are legal: containment then
 falls back to convex-hull membership of the vertex set, so duplicated
-data points behave deterministically.  Hull membership means sup-norm
-distance at most eps, in data units.  In 1-D that is the interval rule,
-and in 2-D and 3-D one slab rule over the facet normals of the hull
-dilated by the eps-cube decides it, flat sets too; other vertex sets, in
-practice d >= 4 or a flat training cloud, go to the hull LP, one query
-at a time, which accepts at its tolerance of about 1e-7.
+data points behave deterministically.  convex_hull_contains_many is the
+one hull decision, its rule chosen by the shape of the set; only d >= 4
+sets and flat clouds that no other rule covers reach the hull LP, which
+accepts at its tolerance of about 1e-7.
 """
 
 from __future__ import annotations
@@ -30,6 +28,8 @@ from .errors import InputError
 DEFAULT_EPS = 1e-9
 # Relative determinant threshold below which a vertex matrix counts as singular.
 PIVOT_RTOL = 1e-12
+# Added to eps by every hull rule, so a point on the hull's boundary passes despite rounding.
+HULL_SLACK = 1e-12
 # Threads for the containment kernel and 1-D pair counting: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -199,25 +199,84 @@ def enlarge_batch(verts: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> bool:
-    """True iff x lies within tol.eps of the convex hull of the points (in d >= 2, about 1e-7).
+    """True iff x lies within tol.eps of the convex hull of the points: convex_hull_contains_many on one row."""
+    return bool(convex_hull_contains_many(points, as_point(x)[None], tol)[0])
 
-    In d >= 2: the program  sum(lam_i * p_i) = x, sum(lam) = 1, lam >= 0,
-    relaxed to minimal sup-norm residual t, with t <= eps; HiGHS meets its
-    constraints only to its feasibility tolerance of about 1e-7.  It runs
-    on the points p_i - x against the origin, so the solver's tolerances
-    act on the spread of the points, not on their distance from the origin.
+
+def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
+    """Mask over the rows of X (q, d): within tol.eps of the convex hull of the points (k, d).
+
+    d = 1 or k <= d + 1: the interval and slab rules of _hulls_contain.
+    Otherwise Qhull's facets (Barber, Dobkin & Huhdanpaa 1996): x is inside
+    when its signed distance to every facet's hyperplane is at most eps.
+    Qhull rejects clouds flat even only within its precision; a 2-D one
+    within eps of the segment between its lexicographic extremes is that
+    segment, a flat triangle, and any other goes to the LP.
     """
     pts = as_points(points)
-    x = as_point(x)
     k, d = pts.shape
-    if x.size != d:
-        raise InputError(f"point dim {x.size} != hull dim {d}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2 or X.shape[1] != d or not np.all(np.isfinite(X)):
+        raise InputError(f"queries must be a finite (q, {d}) array")
+    if d > 1 and k > d + 1:
+        # imported here: scipy.spatial would cost start-up a third of a second
+        from scipy.spatial import ConvexHull, QhullError
 
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            if d == 2:
+                seg = pts[np.lexsort(pts.T[::-1])][[0, -1, -1]]
+                if _hulls_contain(seg[None], pts, tol.eps).all():
+                    pts = seg
+        else:
+            dist = X @ hull.equations[:, :d].T + hull.equations[:, d]
+            return (dist <= tol.eps + HULL_SLACK).all(axis=1)
+    return _hulls_contain(pts[None], X, tol.eps)[0]
+
+
+def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
+    """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d).
+
+    1-D: the interval rule.  d = 2, 3 and k <= d + 1: the slab rule.  x is
+    within r = eps + HULL_SLACK of conv(V) iff it lies in conv(V) + [-r, r]^d,
+    whose facet normals are cross products of d - 1 vertex differences or
+    axes (Gritzmann & Sturmfels 1993): 5 candidates per triangle, 36 per
+    tetrahedron.  Each u, zero or not a facet normal too, gives a valid slab
+    min_k u.(x - v_k) <= r|u|_1, max_k u.(x - v_k) >= -r|u|_1, measured from
+    every vertex so a vertex always passes.  Other sets go to _hull_lp.
+    """
+    m, k, d = V.shape
     if d == 1:
-        return bool(_hulls_contain(pts[None], x[None], tol.eps)[0, 0])
+        return (V.min(axis=1) - eps <= X.T) & (X.T <= V.max(axis=1) + eps)
+    if d > 3 or k > d + 1:
+        return np.array([[_hull_lp(v, x, eps) for x in X] for v in V], dtype=bool).reshape(m, len(X))
+    a, b = np.triu_indices(k, 1)
+    dirs = np.concatenate([V[:, b] - V[:, a], np.broadcast_to(np.eye(d), (m, d, d))], axis=1)
+    if d == 2:
+        U = np.stack([-dirs[..., 1], dirs[..., 0]], axis=-1)
+    else:
+        a, b = np.triu_indices(dirs.shape[1], 1)
+        U = np.cross(dirs[:, a], dirs[:, b])
+    Y = X[None, :, None] - V[:, None]  # (m, q, k, d): x - v_k
+    dots = U[:, :, None, None, 0] * Y[:, None, ..., 0]  # (m, c, q, k)
+    for j in range(1, d):
+        dots += U[:, :, None, None, j] * Y[:, None, ..., j]
+    slack = (eps + HULL_SLACK) * np.abs(U).sum(axis=2)[..., None]
+    return ((dots.min(axis=3) <= slack) & (dots.max(axis=3) >= -slack)).all(axis=1)
 
+
+def _hull_lp(pts: np.ndarray, x: np.ndarray, eps: float) -> bool:
+    """True iff the least sup-norm residual t of sum(lam_i * (p_i - x)) = 0,
+    sum(lam) = 1, lam >= 0 over the rows p_i of pts is at most eps, as met by
+    HiGHS to its feasibility tolerance of about 1e-7.  Posed on p_i - x, the
+    tolerances act on the spread of the points, not on their distance from 0.
+    """
     from scipy.optimize import linprog
 
+    k, d = pts.shape
     # min t  s.t.  -t <= (lam @ (pts - x))_j <= t,  sum(lam) = 1,  lam >= 0
     rel = pts - x
     c = np.zeros(k + 1)
@@ -233,50 +292,7 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
     if not res.success:
         # HiGHS only fails here on numerically hopeless input; treat as outside.
         return False
-    return res.fun <= tol.eps + 1e-12
-
-
-def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
-    """Mask over the rows of X (q, d): within tol.eps of the hull, by the rules of _hulls_contain."""
-    pts = as_points(points)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[1] != pts.shape[1] or not np.all(np.isfinite(X)):
-        raise InputError(f"queries must be a finite (q, {pts.shape[1]}) array")
-    return _hulls_contain(pts[None], X, tol.eps)[0]
-
-
-def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
-    """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d).
-
-    1-D: the interval rule.  d = 2, 3 and k <= d + 1: the slab rule.  x is
-    within r = eps + 1e-12 of conv(V) iff it lies in conv(V) + [-r, r]^d,
-    whose facet normals are cross products of d - 1 vertex differences or
-    axes (Gritzmann & Sturmfels 1993): 5 candidates per triangle, 36 per
-    tetrahedron.  Each u, zero or not a facet normal too, gives a valid slab
-    min_k u.(x - v_k) <= r|u|_1, max_k u.(x - v_k) >= -r|u|_1, measured from
-    every vertex so a vertex always passes.  Other sets go to the LP.
-    """
-    m, k, d = V.shape
-    if d == 1:
-        return (V.min(axis=1) - eps <= X.T) & (X.T <= V.max(axis=1) + eps)
-    if d > 3 or k > d + 1:
-        tol = GeomTolerance(eps=eps)
-        return np.array([[convex_hull_contains(v, x, tol) for x in X] for v in V], dtype=bool).reshape(m, len(X))
-    a, b = np.triu_indices(k, 1)
-    dirs = np.concatenate([V[:, b] - V[:, a], np.broadcast_to(np.eye(d), (m, d, d))], axis=1)
-    if d == 2:
-        U = np.stack([-dirs[..., 1], dirs[..., 0]], axis=-1)
-    else:
-        a, b = np.triu_indices(dirs.shape[1], 1)
-        U = np.cross(dirs[:, a], dirs[:, b])
-    Y = X[None, :, None] - V[:, None]  # (m, q, k, d): x - v_k
-    dots = U[:, :, None, None, 0] * Y[:, None, ..., 0]  # (m, c, q, k)
-    for j in range(1, d):
-        dots += U[:, :, None, None, j] * Y[:, None, ..., j]
-    slack = (eps + 1e-12) * np.abs(U).sum(axis=2)[..., None]
-    return ((dots.min(axis=3) <= slack) & (dots.max(axis=3) >= -slack)).all(axis=1)
+    return res.fun <= eps + HULL_SLACK
 
 
 def simplex_contains(simplex, x, tol: GeomTolerance = GeomTolerance()) -> bool:

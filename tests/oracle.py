@@ -277,13 +277,13 @@ def hull_distances_exact(V, X):
 
 
 def hull_contains_exact(V, X, eps: float):
-    """Exact hull membership of the rows of X at eps: distance at most eps + 1e-12, the mask's rule."""
+    """Exact hull membership of the rows of X at eps: distance at most eps + 1e-12 (geometry.HULL_SLACK), the slab rule's."""
     r = Fraction(eps + 1e-12)
     return [dist <= r for dist in hull_distances_exact(V, X)]
 
 
 def hull_distance_lp_exact(V, x):
-    """The hull LP of convex_hull_contains, solved exactly by vertex enumeration.
+    """The hull LP of geometry._hull_lp, solved exactly by vertex enumeration.
 
     min t over (lam, t) with sum(lam) = 1, lam >= 0 and
     -t <= sum_i lam_i (v_i - x)_j <= t.  The region holds no line and t is

@@ -58,13 +58,14 @@ def test_perfbench_tracer_targets_resolve():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """The package and its CLI import without scipy.optimize or scipy.special; only the LP,
-    the fits and the scenario-3 band draws need them.  Flat hulls in d <= 3 are decided by the
+    """The package and its CLI import without scipy.optimize, scipy.special or scipy.spatial;
+    only the LP, the fits, the scenario-3 band draws and Qhull need them, and scipy.spatial
+    alone costs start-up about a third of a second.  Flat hulls in d <= 3 are decided by the
     interval and slab rules, so exact 2-D and 3-D depth on grid data (109 flat tetrahedra, queries
     in their planes) and a flat training cloud leave the LP unloaded."""
     src = str(Path(sigmadepth.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    mods = ("scipy.optimize", "scipy.special")
+    mods = ("scipy.optimize", "scipy.special", "scipy.spatial")
     code = (
         "import sys, numpy as np, sigmadepth as sd, sigmadepth.cli\n"
         f"print([m in sys.modules for m in {mods!r}])\n"
@@ -82,7 +83,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "print('scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["[False,", "False]", "False"]
+    assert out.stdout.split() == ["[False,", "False,", "False]", "False"]
 
 
 def test_import_leaves_thread_pool_unloaded():

@@ -13,6 +13,7 @@ from oracle import hull_contains_exact
 import sigmadepth
 from sigmadepth.classify import (
     DDModel,
+    _row_hashes,
     classify_points,
     depth_rows,
     fit_dd,
@@ -20,7 +21,6 @@ from sigmadepth.classify import (
     misclassification_rate,
     outsider_mask,
     predict_dd_points,
-    stable_hash,
 )
 from sigmadepth.depth import DepthConfig, DepthEvaluator
 from sigmadepth.errors import InputError
@@ -402,6 +402,11 @@ def test_misclassification_rate_basics():
         misclassification_rate([1, 2], [1])
     with pytest.raises(InputError):
         misclassification_rate([], [])
+
+
+def stable_hash(values) -> int:
+    """64-bit content hash of a float array: the tie coins' row hash at seed 0."""
+    return int(_row_hashes(0, np.asarray(values, dtype=float).reshape(1, -1))[0])
 
 
 def test_stable_hash_is_reproducible():

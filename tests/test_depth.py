@@ -763,3 +763,5 @@ def test_trimmed_region_guards():
         trimmed_region_grid(data, DepthConfig(), 0.1)
     with pytest.raises(InputError):
         trimmed_region_grid(data[:, :2], DepthConfig(), 1.5)
+    with pytest.raises(InputError):
+        trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid=21.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmadepth import geometry
+from sigmadepth.classify import outsider_mask
 from sigmadepth.errors import InputError
 from sigmadepth.geometry import (
     GeomTolerance,
@@ -73,12 +74,71 @@ def test_triangle_hull_mask_decides_at_eps():
     """The slab rule decides a flat triangle at eps, not at the LP's feasibility tolerance.
 
     x is 1.84e-8 from the segment, in exact arithmetic: outside at the
-    default eps of 1e-9, inside at 2e-8.
+    default eps of 1e-9, inside at 2e-8, and convex_hull_contains and
+    simplex_contains give the mask's answer.
     """
     V = np.array([[2.0, 3.0], [1.0, 1.0], [1.0, 1.0]])
     x = np.array([[1.3333334550077849, 1.666666965233481]])
-    assert convex_hull_contains_many(V, x).tolist() == [False]
-    assert convex_hull_contains_many(V, x, GeomTolerance(eps=2e-8)).tolist() == [True]
+    for tol, want in [(GeomTolerance(), False), (GeomTolerance(eps=2e-8), True)]:
+        assert hull_contains_exact(V, x, tol.eps) == [want]
+        assert convex_hull_contains_many(V, x, tol).tolist() == [want]
+        assert convex_hull_contains(V, x[0], tol) is want
+        assert simplex_contains(V, x[0], tol) is want
+
+
+def _grid_simplex(d, flat, rng):
+    """d + 1 vertices on the 1/8 grid, in random order; a flat set's last vertex is an integer affine combination of the others."""
+    while True:
+        V = rng.integers(-4, 5, (d + 1, d))
+        if flat:
+            w = rng.integers(-1, 2, d)
+            V[d] = w @ V[:d] + (1 - w.sum()) * V[0]
+        if (round(np.linalg.det((V[1:] - V[0]).astype(float))) == 0) == flat and np.abs(V).max() <= 8:
+            return rng.permutation(V) / 8
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "full"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_decisions_agree_on_grid_simplices(d, flat):
+    """convex_hull_contains, convex_hull_contains_many and simplex_contains agree with the exact rule.
+
+    Triangles and tetrahedra on the 1/8 grid; queries at the vertices, the
+    midpoints of vertex pairs and random 1/16-grid points of the box
+    around them, and for flat sets also 2e-9 and 5e-10 off the vertices,
+    where the slab rule decides at eps.  On a full-dimensional simplex
+    simplex_contains puts its slack on the barycentric coordinates, so
+    there the queries keep off that scale.
+    """
+    rng = np.random.default_rng([d, flat])
+    tol = GeomTolerance()
+    decided = set()
+    for _ in range(6):
+        V = _grid_simplex(d, flat, rng)
+        mids = np.array([(a + b) / 2 for a, b in itertools.combinations(V, 2)])
+        X = [V, mids, rng.integers(-10, 11, (12, d)) / 16]
+        if flat:
+            X.append(V + rng.choice([-1.0, 1.0], V.shape) * rng.choice([2e-9, 5e-10], (d + 1, 1)))
+        X = np.vstack(X)
+        want = hull_contains_exact(V, X, tol.eps)
+        assert convex_hull_contains_many(V, X, tol).tolist() == want
+        assert [convex_hull_contains(V, x, tol) for x in X] == want
+        assert [simplex_contains(V, x, tol) for x in X] == want
+        decided.update(want)
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_full_cloud_hull_mask_runs_no_lp(d, monkeypatch):
+    """A full-dimensional 200-point cloud is decided by Qhull's facets, with no LP call, as outsider_mask decides it."""
+    rng = np.random.default_rng(d)
+    cloud = rng.standard_normal((200, d))
+    X = 2.0 * rng.standard_normal((100, d))
+    calls = _count_lp_calls(monkeypatch)
+    mask = convex_hull_contains_many(cloud, X)
+    assert len(calls) == 0
+    assert {True, False} <= set(mask.tolist())
+    assert mask.tolist() == (~outsider_mask(cloud, cloud + 100.0, X)).tolist()
+    assert [geometry._hull_lp(cloud, x, geometry.DEFAULT_EPS) for x in X[:20]] == mask[:20].tolist()
 
 
 def test_barycentric_centroid():
@@ -226,13 +286,13 @@ def test_flat_3d_counts_match_exact_hulls(seed, kind, sigma):
 
 def _count_lp_calls(monkeypatch):
     calls = []
-    lp = geometry.convex_hull_contains
+    lp = geometry._hull_lp
 
     def counted(*args, **kwargs):
         calls.append(args)
         return lp(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "convex_hull_contains", counted)
+    monkeypatch.setattr(geometry, "_hull_lp", counted)
     return calls
 
 
@@ -331,8 +391,8 @@ def test_rounded_collinear_triples_are_degenerate(mag, sigma):
 
     Five points lie on a line only to decimal precision, so the float
     determinant of a flat triple is rounding noise.  The reference counts
-    run one hull LP per (triangle, query) pair on the copy shifted by -mag,
-    which is exact in floats and keeps the LP away from large coordinates.
+    are the exact rational hull rule per (triangle, query) pair on the
+    copy shifted by -mag, which is exact in floats.
     """
     grid = [(j, 3 + j) for j in range(5)] + [(3, 1), (0, 9), (6, 2)]
     text = [(f"{mag + 0.1 * a:.1f}", f"{2 * mag + 0.1 * b:.1f}") for a, b in grid]
@@ -348,15 +408,15 @@ def test_rounded_collinear_triples_are_degenerate(mag, sigma):
     assert batch.n_degenerate == sum(flat(*c) for c in combos) >= 10
     shift = np.array([mag, 2 * mag])
     hulls = enlarge_batch(P[combos] - shift, sigma)
-    want = [sum(convex_hull_contains(v, x) for v in hulls) for x in P - shift]
-    assert batch.contains_counts(P, [sigma]).tolist() == [want]
+    want = np.sum([hull_contains_exact(v, P - shift, batch.eps) for v in hulls], axis=0)
+    assert batch.contains_counts(P, [sigma]).tolist() == [want.tolist()]
 
 
 def test_hull_lp_accepts_own_vertex_far_from_origin():
     """The LP runs on the points relative to the query, so magnitude does not matter."""
     V = np.array([[9999.7, 10000.3], [10000.3, 9999.8], [10000.2, 10000.2]])
-    assert convex_hull_contains(V, V[2])
-    assert convex_hull_contains(V - 1e4, V[2] - 1e4)
+    assert geometry._hull_lp(V, V[2], geometry.DEFAULT_EPS)
+    assert geometry._hull_lp(V - 1e4, V[2] - 1e4, geometry.DEFAULT_EPS)
 
 
 def test_hull_lp_vertex_sweep_at_magnitude_1e4():
@@ -366,7 +426,7 @@ def test_hull_lp_vertex_sweep_at_magnitude_1e4():
         P = np.round(1e4 + rng.standard_normal((8, 2)), 1)
         for tri in itertools.combinations(range(len(P)), 3):
             V = P[list(tri)]
-            assert all(convex_hull_contains(V, v) for v in V)
+            assert all(geometry._hull_lp(V, v, geometry.DEFAULT_EPS) for v in V)
 
 
 def _einsum_counts(batch, X, sigma):
