@@ -21,6 +21,8 @@ Exact counts take one of three paths: pair counting by binary search in
 1-D, the triangle pair tables of `geometry.TrianglePairTables` in 2-D, and
 barycentric maps in d >= 3 and for the full transform, kept up to
 `_PRECOMP_MAX` simplices and rebuilt chunk by chunk on every call above.
+All three counters (`geometry.count_pairs_1d`, `TrianglePairTables` and
+`SimplexBatch`) live in `geometry`; this module only chooses and feeds them.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import geometry
 from .errors import InputError, InsufficientDataError, ResourceCapError
 from .geometry import GeomTolerance, SimplexBatch, TrianglePairTables, as_point, as_points, check_sigma
+from .geometry import count_pairs_1d as _count_pairs_1d  # the name the benchmark tracer wraps
 from .sigma import sample_sigma_blocks
 
 METHODS = (
@@ -121,36 +123,21 @@ def _iter_combo_chunks(n: int, k: int, chunk: int):
         yield flat.reshape(-1, k)
 
 
-def _labeled_partitions(items, group_size, groups):
-    """All ways to split items into `groups` labeled groups of group_size."""
-    if groups == 1:
-        return [[list(items)]]
-    out = []
-    items = list(items)
-    for first in itertools.combinations(items, group_size):
-        rest = [x for x in items if x not in first]
-        for tail in _labeled_partitions(rest, group_size, groups - 1):
-            out.append([list(first)] + tail)
-    return out
-
-
 @lru_cache(maxsize=8)
 def _full_patterns(p: int):
     """Leader/group index patterns for the full-transform enumeration.
 
     Over a sorted tuple of p^2 indices: choose p leader slots, split the
     remaining p^2-p slots into p labeled groups of p-1 (group j feeds
-    vertex j alongside leader j).  Returns (leads (T, p), groups (T, p, p-1)).
+    vertex j alongside leader j).  The splits are the permutations of the
+    remaining slots whose groups increase, in lex order.  Returns
+    (leads (T, p), groups (T, p, p-1)).
     """
-    slots = range(p * p)
-    leads = []
-    groups = []
-    for lead in itertools.combinations(slots, p):
-        rest = [s for s in slots if s not in lead]
-        for part in _labeled_partitions(rest, p - 1, p):
-            leads.append(lead)
-            groups.append(part)
-    return np.asarray(leads, dtype=np.int64), np.asarray(groups, dtype=np.int64)
+    rises = [i for i in range(p * p - p - 1) if (i + 1) % (p - 1)]  # neighbours within one group
+    splits = np.array([s for s in itertools.permutations(range(p * p - p)) if all(s[i] < s[i + 1] for i in rises)])
+    leads = np.array(list(itertools.combinations(range(p * p), p)), dtype=np.int64)
+    rest = np.array([np.setdiff1d(np.arange(p * p), lead) for lead in leads])
+    return np.repeat(leads, len(splits), axis=0), rest[:, splits].reshape(-1, p, p - 1)
 
 
 def full_pattern_count(p: int) -> int:
@@ -197,65 +184,6 @@ def _repeats(idx: np.ndarray) -> np.ndarray:
     for a, b in itertools.combinations(range(len(cols)), 2):
         bad |= cols[a] == cols[b]
     return bad
-
-
-def _count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
-    """Exact 1-D containment counting over all C(n,2) value pairs, per sigma.
-
-    A pair (a <= b) dilated by sigma with barycentric slack eps contains x
-    iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and
-    t = (1-sigma)/2 - eps*sigma.  Cross-pair counts come from n binary
-    searches over the sorted values per query and sigma, O(q * n log n)
-    per sigma, instead of enumerating the n^2/2 pairs.  The values are
-    sorted once for every sigma.  The searches run over chunks of queries,
-    each threshold buffer holding at most `SimplexBatch._CHUNK_ELEMS`
-    elements, with no per-query Python loop.  The chunks are spread over
-    the usable cores with threads (numpy releases the GIL in the searches
-    and the arithmetic); each chunk writes its own integer rows, so the
-    counts do not depend on the thread count, and there is no option to
-    set it.  A call with a single chunk runs on the calling thread.  Pairs
-    of exactly equal values use the degenerate point rule |x - a| <= eps,
-    matching the hull fallback of the matrix kernel.  Returns
-    (q, len(sigmas)) counts, one row per query.
-    """
-    v = np.sort(np.asarray(values, dtype=float).ravel())
-    n = len(v)
-    x = np.asarray(queries, dtype=float).ravel()
-
-    first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
-    strict_total = int(first.sum())
-
-    vals_u, cnt = np.unique(v, return_counts=True)
-    tied = cnt > 1  # only repeated values form flat pairs
-    tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
-
-    sigmas = [float(s) for s in np.ravel(sigmas)]
-    counts = np.empty((len(x), len(sigmas)), dtype=np.int64)
-    step = max(1, min(SimplexBatch._CHUNK_ELEMS // n, math.ceil(len(x) / geometry._WORKERS)))
-
-    def count_chunk(s):
-        xq = x[s : s + step, None]
-        flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
-        for k, sigma in enumerate(sigmas):
-            t = (1.0 - sigma) / 2.0 - eps * sigma
-            u = 1.0 - t
-            # fail-left: A > x, conditioned on the smaller element of the pair
-            thr_l = (xq - t * v) / u
-            fail_l = (first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum(axis=1)
-            # fail-right: B < x
-            if t < 0.0:
-                thr_r = (xq - u * v) / t
-                kept = np.minimum(np.searchsorted(v, thr_r, side="right"), first)
-                fail_r = (first - kept).sum(axis=1)
-            elif t == 0.0:
-                fail_r = np.where(v < xq, first, 0).sum(axis=1)
-            else:
-                thr_r = (xq - u * v) / t
-                fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
-            counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
-
-    geometry._on_threads(count_chunk, range(0, len(x), step))
-    return counts
 
 
 class DepthEvaluator:
@@ -480,12 +408,13 @@ def _grid(data: np.ndarray, grid):
     if _is_int(grid, 2):
         lo, hi = data.min(axis=0), data.max(axis=0)
         axes = [np.linspace(lo[j], hi[j], int(grid)) for j in range(data.shape[1])]
-    elif np.ndim(grid) == 0:
-        raise InputError(f"grid must be a node count >= 2 or one coordinate array per axis, got {grid!r}")
-    else:
+    elif isinstance(grid, (list, tuple)) or getattr(grid, "ndim", 0) > 0:
+        # the axes may differ in length, so grid itself is never made one array
         axes = [np.asarray(a, dtype=float).ravel() for a in grid]
         if len(axes) != data.shape[1] or any(len(a) < 1 for a in axes):
             raise InputError("grid must give one coordinate array per axis")
+    else:
+        raise InputError(f"grid must be a node count >= 2 or one coordinate array per axis, got {grid!r}")
     mesh = np.meshgrid(*axes, indexing="ij")
     return axes, np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -1,4 +1,7 @@
-"""Point-in-simplex predicates, simplex enlargement, and hull membership.
+"""Point-in-simplex predicates, simplex enlargement, hull membership, and
+the three containment counters: count_pairs_1d, TrianglePairTables and
+SimplexBatch, which share one chunk cap, one threshold t(sigma) and, in
+the two barycentric ones, one compare-and-count (_add_hits).
 
 Simplices are float arrays of shape (d+1, d): one vertex per row.  Points
 are 1-D arrays of length d.  Containment is tested on the closed simplex
@@ -32,6 +35,9 @@ PIVOT_RTOL = 1e-12
 HULL_SLACK = 1e-12
 # Threads for the containment kernel and 1-D pair counting: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Cap on each buffer of the three counters, in elements: 512 KiB per float
+# buffer, so the kernel's working set stays in a 2 MiB L2 cache.
+_CHUNK_ELEMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,13 @@ class GeomTolerance:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if not (np.isfinite(self.eps) and self.eps >= 0):
-            raise InputError(f"eps must be finite and >= 0, got {self.eps}")
+        if not (_is_real(self.eps) and self.eps >= 0):
+            raise InputError(f"eps must be a finite real >= 0, got {self.eps!r}")
+
+
+def _is_real(value) -> bool:
+    """A finite real number; a bool is a flag, not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def as_point(x) -> np.ndarray:
@@ -169,13 +180,9 @@ def barycentric_coordinates(simplex, x):
 
 
 def check_sigma(sigma: float) -> float:
-    # a bool is a flag, not a number
-    if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool):
-        raise InputError(f"sigma must be a real number, got {sigma!r}")
-    sigma = float(sigma)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise InputError(f"sigma must be finite and > 0, got {sigma}")
-    return sigma
+    if not (_is_real(sigma) and sigma > 0):
+        raise InputError(f"sigma must be a finite real > 0, got {sigma!r}")
+    return float(sigma)
 
 
 def enlarge_simplex(simplex, sigma: float) -> np.ndarray:
@@ -211,7 +218,10 @@ def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -
     when its signed distance to every facet's hyperplane is at most eps.
     Qhull rejects clouds flat even only within its precision; a 2-D one
     within eps of the segment between its lexicographic extremes is that
-    segment, a flat triangle, and any other goes to the LP.
+    segment, a flat triangle, and any other goes to the LP.  So eps is a
+    sup-norm distance for at most d + 1 points but a Euclidean facet
+    distance for larger clouds: at a large eps one hull given by more
+    points can reject a query that its d + 1 vertices accept.
     """
     pts = as_points(points)
     k, d = pts.shape
@@ -326,11 +336,10 @@ class SimplexBatch:
     in a (q_chunk, m_chunk) float buffer and keeps their running minimum.
     Only the threshold t(sigma)*|det| depends on sigma, and "min >= thr" is
     exactly "all >= thr" for finite floats, so one pass compares the
-    minimum with every sigma's threshold and counts the survivors: up to 8
-    sigmas per numpy call, their hit masks in the bytes of a float buffer
-    that is free by then.  Every buffer holds at most _CHUNK_ELEMS
-    elements, so memory does not grow with the number of queries,
-    simplices, sigmas or the dimension.
+    minimum with every sigma's threshold and counts the survivors
+    (_add_hits, in the bytes of the row buffer).  Every buffer holds at
+    most _CHUNK_ELEMS elements, so memory does not grow with the number of
+    queries, simplices, sigmas or the dimension.
 
     The query chunks are split into one contiguous block per thread, at
     most _WORKERS of them.  Per simplex chunk the calling thread computes
@@ -348,10 +357,6 @@ class SimplexBatch:
     (products and sums of monotone terms), so containment indicators never
     flicker across a sigma sweep.
     """
-
-    # Cap on each (queries x simplices) kernel buffer, in elements: 512 KiB
-    # per float buffer, so the kernel's working set stays in a 2 MiB L2 cache.
-    _CHUNK_ELEMS = 2**16
 
     def __init__(self, verts: np.ndarray, eps: float = DEFAULT_EPS):
         verts = np.asarray(verts, dtype=float)
@@ -382,8 +387,8 @@ class SimplexBatch:
 
         mg = len(self._absdet)
         if mg and q:
-            m_chunk = min(mg, self._CHUNK_ELEMS)
-            q_chunk = max(1, self._CHUNK_ELEMS // m_chunk)
+            m_chunk = min(mg, _CHUNK_ELEMS)
+            q_chunk = max(1, _CHUNK_ELEMS // m_chunk)
             chunks = math.ceil(q / q_chunk)
             block = math.ceil(chunks / min(_WORKERS, chunks)) * q_chunk
             shape = (min(q, q_chunk), m_chunk)
@@ -393,8 +398,6 @@ class SimplexBatch:
             def count_block(job):
                 """The query chunks of one block against the simplex chunk of lin, const and thr."""
                 start, bufs = job
-                # Once low is final, val's bytes hold the hit masks of up to 8 sigmas.
-                planes = bufs[1].reshape(-1).view(bool)
                 for qs in range(start, min(start + block, q), q_chunk):
                     Xc = X[qs : qs + q_chunk, :, None]
                     r, w = len(Xc), thr.shape[1]
@@ -405,11 +408,7 @@ class SimplexBatch:
                         _dot_into(Xc, lin[i], val, odd, term)
                         val += const[i]
                         np.minimum(low, val, out=low)
-                    for k in range(0, len(thr), 8):
-                        hit = planes[: len(thr[k : k + 8]) * r * w].reshape(-1, r, w)
-                        np.greater_equal(low, thr[k : k + 8, None], out=hit)
-                        # summing bytes into int32 is about twice as fast as count_nonzero
-                        counts[k : k + 8, qs : qs + r] += hit.view(np.uint8).sum(axis=2, dtype=np.int32)
+                    _add_hits(counts[:, qs : qs + r], low, thr, bufs[1])
 
             for ms in range(0, mg, m_chunk):
                 lin = self._lin[:, :, ms : ms + m_chunk]
@@ -426,13 +425,29 @@ def _thresholds(sigmas: np.ndarray, d: int, eps: float) -> np.ndarray:
     return (1.0 - sigmas) / (d + 1) - eps * sigmas
 
 
+def _add_hits(counts: np.ndarray, low: np.ndarray, thr: np.ndarray, free: np.ndarray) -> None:
+    """counts[k, i] += the cells of low[i] at or above thr[k], for low (r, ...) and thr (len(counts), ...).
+
+    The fused compare-and-count of both barycentric counters: up to 8
+    thresholds per numpy call, their hit masks in the bytes of free, a
+    C-contiguous float buffer of at least low.size elements whose values
+    the caller no longer needs.
+    """
+    planes = free.reshape(-1).view(bool)
+    for k in range(0, len(thr), 8):
+        hit = planes[: len(thr[k : k + 8]) * low.size].reshape(-1, *low.shape)
+        np.greater_equal(low, thr[k : k + 8, None], out=hit)
+        # summing bytes into int32 is about twice as fast as count_nonzero
+        counts[k : k + 8] += hit.reshape(len(hit), len(low), -1).view(np.uint8).sum(axis=2, dtype=np.int32)
+
+
 def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigmas, eps: float) -> None:
     """Add to counts (len(sigmas), q) the degenerate simplices verts (m, d+1, d) whose
     sigma-dilated vertex set holds each row of X within eps, in chunks of the simplices
     whose (simplices, normals, queries, vertices) slab tensor fits in _CHUNK_ELEMS."""
     _, p, d = verts.shape
     per_simplex = len(X) * p * math.comb(math.comb(p, 2) + d, d - 1)
-    chunk = max(1, SimplexBatch._CHUNK_ELEMS // max(per_simplex, 1))
+    chunk = max(1, _CHUNK_ELEMS // max(per_simplex, 1))
     for ms in range(0, len(verts), chunk):
         dv = verts[ms : ms + chunk]
         for k, sigma in enumerate(sigmas):
@@ -498,8 +513,8 @@ class TrianglePairTables:
 
     The pair map, |det| and sign(det) (9 bytes per triangle) and the
     singular triangles are built once, here.  The pair tables of one query
-    chunk hold at most SimplexBatch._CHUNK_ELEMS elements each, or one
-    query's n^2 if that is more.
+    chunk hold at most _CHUNK_ELEMS elements each, or one query's n^2 if
+    that is more.
     """
 
     def __init__(self, V: np.ndarray, eps: float = DEFAULT_EPS):
@@ -540,13 +555,11 @@ class TrianglePairTables:
         t = _thresholds(sigmas, 2, self.eps)
         counts = np.zeros((len(sigmas), q), dtype=np.int64)
 
-        q_chunk = max(1, SimplexBatch._CHUNK_ELEMS // (n * n))
+        q_chunk = max(1, _CHUNK_ELEMS // (n * n))
         qc = min(q, q_chunk)
         tables = [np.empty((qc, n * n)) for _ in range(3)]
         widest = max(x.size for x in self._absdets)
-        low_buf, val_buf = np.empty(qc * widest), np.empty(qc * widest)
-        hit_buf = np.empty(qc * widest, dtype=bool)
-        thr_buf, sign_buf = np.empty(widest), np.empty(widest)
+        low_buf, val_buf, sign_buf = np.empty(qc * widest), np.empty(qc * widest), np.empty(widest)
         for qs in range(0, q, q_chunk):
             Xc = X[qs : qs + q_chunk, :, None]
             c = len(Xc)
@@ -556,8 +569,8 @@ class TrianglePairTables:
             np.negative(T0, out=T1)
             T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
             for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
-                low, val, hit = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf, hit_buf))
-                thr, sign = (b[: absdet.size].reshape(absdet.shape) for b in (thr_buf, sign_buf))
+                low, val = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf))
+                sign = sign_buf[: absdet.size].reshape(absdet.shape)
                 np.copyto(sign, sign8)
                 # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j]
                 np.multiply(T1[:, :j, j + 1 :], sign, out=low)
@@ -565,10 +578,59 @@ class TrianglePairTables:
                 np.minimum(low, val, out=low)
                 np.multiply(T0[:, :j, j, None], sign, out=val)
                 np.minimum(low, val, out=low)
-                for s, t_s in enumerate(t):
-                    np.multiply(t_s, absdet, out=thr)
-                    np.greater_equal(low, thr, out=hit)
-                    counts[s, qs : qs + c] += hit.reshape(c, -1).view(np.uint8).sum(axis=1, dtype=np.int32)
+                _add_hits(counts[:, qs : qs + c], low, np.multiply.outer(t, absdet), val_buf)
 
         _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts
+
+
+def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
+    """(q, len(sigmas)) counts: the C(n, 2) pairs of values whose sigma-dilation contains each query.
+
+    A pair (a <= b) contains x iff A <= x <= B with A = (1-t)a + t*b,
+    B = (1-t)b + t*a and t = _thresholds(sigma, 1, eps).  Counts come from
+    n binary searches over the values, sorted once, per query and sigma:
+    O(q * n log n), not O(q * n^2).  The queries go in chunks whose
+    threshold buffers hold at most _CHUNK_ELEMS elements, spread over the
+    usable cores (numpy releases the GIL in the searches); each chunk
+    writes its own rows, so the counts do not depend on the thread count.
+    Pairs of equal values use the point rule |x - a| <= eps, matching the
+    hull fallback of the barycentric counters.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    n = len(v)
+    x = np.asarray(queries, dtype=float).ravel()
+
+    first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
+    strict_total = int(first.sum())
+
+    vals_u, cnt = np.unique(v, return_counts=True)
+    tied = cnt > 1  # only repeated values form flat pairs
+    tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
+
+    ts = _thresholds(np.asarray(sigmas, dtype=float).ravel(), 1, eps)
+    counts = np.empty((len(x), len(ts)), dtype=np.int64)
+    step = max(1, min(_CHUNK_ELEMS // n, math.ceil(len(x) / _WORKERS)))
+
+    def count_chunk(s):
+        xq = x[s : s + step, None]
+        flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
+        for k, t in enumerate(ts):
+            u = 1.0 - t
+            # fail-left: A > x, conditioned on the smaller element of the pair
+            thr_l = (xq - t * v) / u
+            fail_l = (first - np.minimum(np.searchsorted(v, thr_l, side="right"), first)).sum(axis=1)
+            # fail-right: B < x
+            if t < 0.0:
+                thr_r = (xq - u * v) / t
+                kept = np.minimum(np.searchsorted(v, thr_r, side="right"), first)
+                fail_r = (first - kept).sum(axis=1)
+            elif t == 0.0:
+                fail_r = np.where(v < xq, first, 0).sum(axis=1)
+            else:
+                thr_r = (xq - u * v) / t
+                fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
+            counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
+
+    _on_threads(count_chunk, range(0, len(x), step))
+    return counts

@@ -160,7 +160,9 @@ def projection_median_interval(P: DiscreteDistribution, u):
     direction u; intersecting these constraints over a direction grid can
     shrink the admissible set to a point or to nothing.
     """
-    u = np.asarray(u, dtype=float)
+    u = as_point(u)
+    if u.size != P.dim:
+        raise InputError(f"direction dim {u.size} != distribution dim {P.dim}")
     z = P.support @ u
     order = np.argsort(z, kind="stable")
     z = z[order]

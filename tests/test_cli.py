@@ -68,6 +68,23 @@ def test_depth_command_writes_csv_and_config(tmp_path):
     assert sidecar["sigma"] == 2.0
 
 
+def test_depth_command_without_out_writes_to_stdout_and_stderr(tmp_path, capsys):
+    """Without --out the depth CSV goes to stdout and the config echo to stderr."""
+    data = tmp_path / "data.csv"
+    write_csv(data, [[0.0], [1.0], [2.0], [3.0]])
+    query = tmp_path / "q.csv"
+    write_csv(query, [[1.5], [99.0]])
+    code = main(["depth", "--data", str(data), "--query", str(query), "--method", "simplex-enlarged", "--sigma", "2"])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [r["x0"] for r in rows] == ["1.5", "99.0"]
+    assert float(rows[0]["depth"]) > 0.5 and rows[1]["depth"] == "0.0"
+    echo = json.loads(captured.err)
+    assert echo["subcommand"] == "depth" and echo["out"] is None and echo["sigma"] == 2.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "q.csv"]
+
+
 def test_depth_command_is_reproducible_with_budget(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "data.csv"

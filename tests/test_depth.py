@@ -174,7 +174,7 @@ def _per_sigma_counts(d, kind, budget):
     return np.stack([DepthEvaluator(P, replace(cfg, sigma=s)).contain_counts(X) for s in PROFILE_SIGMAS])
 
 
-@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("cap", [geometry._CHUNK_ELEMS, 24])
 @pytest.mark.parametrize("path", ["exact", "streamed", "mc", "mc-streamed"])
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -190,7 +190,7 @@ def test_depth_profile_matches_per_sigma_evaluators(d, kind, path, cap, monkeypa
     budget = None if path in ("exact", "streamed") else 150
     cfg = DepthConfig(method="simplex_enlarged", budget=budget, seed=5)
     want = _per_sigma_counts(d, kind, budget)
-    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
     if "streamed" in path:
         monkeypatch.setattr(depth_module, "_PRECOMP_MAX", 10)
         monkeypatch.setattr(depth_module, "_STREAM_CHUNK", 40)
@@ -307,7 +307,7 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
         _all_triangle_batch(sample_sigma_blocks(P, s)).contains_counts(X, [1.0])[0] for s in PAIR_TABLE_SIGMAS
     ]
 
-    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", 7 * len(P) ** 2)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", 7 * len(P) ** 2)
     assert len(X) % 7 == 1
     flat = []
     add_hull_counts = geometry._add_hull_counts
@@ -552,7 +552,7 @@ def _pair_count_queries(v, sigma, eps):
     return np.concatenate([v, (s[:-1] + s[1:]) / 2, far, ends, *near])
 
 
-@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("cap", [geometry._CHUNK_ELEMS, 24])
 @pytest.mark.parametrize("kind", PAIR_COUNT_KINDS)
 def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
     """Chunked 1-D pair counting gives byte-equal counts to the per-query loop.
@@ -561,7 +561,7 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
     (t > 0, t == 0, t < 0).  With the small cap the corpora below take one
     query per chunk, a ragged last chunk, and n > cap.
     """
-    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
     full = _pair_count_corpus(kind)
     hit = np.zeros(3, dtype=bool)  # one query per chunk, ragged last chunk, n > cap
     for n in (len(full), 13, 7, 5):
@@ -587,7 +587,7 @@ def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
     outlives a call.
     """
     sigmas = [0.5, 1.0, 1.5, 2.0, 3.0, 6.0]
-    default = SimplexBatch._CHUNK_ELEMS
+    default = geometry._CHUNK_ELEMS
     hit = np.zeros(5, dtype=bool)  # q 0, q 1, one query per chunk, chunks > workers, ragged last chunk
     for n, caps in ((13, [default]), (5, [default, 24])):
         v = _pair_count_corpus(kind)[-n:]
@@ -595,7 +595,7 @@ def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
             X = np.concatenate([_pair_count_queries(v, sigma, eps) for sigma in sigmas])
             want = np.column_stack([count_pairs_1d_loop(v, X, sigma, eps) for sigma in sigmas])
             for cap in caps:
-                monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+                monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
                 for workers in (1, 2, 3, 8):
                     monkeypatch.setattr(geometry, "_WORKERS", workers)
                     for q in (0, 1, 7, len(X)):
@@ -745,6 +745,23 @@ def test_maximizer_centers_on_symmetric_cloud():
     assert np.linalg.norm(peak) < 1.0
 
 
+def test_maximizer_above_three_dims_starts_from_the_data_and_centroid(monkeypatch):
+    """In d > 3 no grid is built: the search starts from the deepest data point or the centroid."""
+    rng = np.random.default_rng(23)
+    data = rng.standard_normal((9, 4))
+    cfg = exact_cfg(sigma=2.0)
+
+    def no_grid(*args):
+        raise AssertionError("depth_maximizer built a grid in 4-D")
+
+    monkeypatch.setattr(depth_module, "_grid", no_grid)
+    peak = depth_maximizer(data, cfg)
+    assert peak.shape == (4,)
+    ev = DepthEvaluator(data, cfg)
+    start = ev.depths(np.vstack([data, data.mean(axis=0)])).max()
+    assert start > 0 and ev.depths(peak[None])[0] >= start
+
+
 def test_trimmed_region_levels_nest():
     rng = np.random.default_rng(19)
     data = rng.standard_normal((40, 2))
@@ -765,3 +782,21 @@ def test_trimmed_region_guards():
         trimmed_region_grid(data[:, :2], DepthConfig(), 1.5)
     with pytest.raises(InputError):
         trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid=21.0)
+    with pytest.raises(InputError):
+        trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid=(np.linspace(-1, 1, 3),))
+    with pytest.raises(InputError):
+        trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid="21")
+
+
+def test_trimmed_region_grid_takes_axes_of_different_lengths():
+    """A 3 x 4 grid gives a (3, 4) mask of depth >= alpha at the "ij" nodes."""
+    data = np.random.default_rng(0).standard_normal((10, 2))
+    cfg = exact_cfg(sigma=2.0)
+    xs, ys = np.linspace(-1, 1, 3), np.linspace(-1, 1, 4)
+    axes, mask = trimmed_region_grid(data, cfg, 0.1, grid=(xs, ys))
+    assert mask.shape == (3, 4)
+    assert np.array_equal(axes[0], xs) and np.array_equal(axes[1], ys)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    depths = DepthEvaluator(data, cfg).depths(np.column_stack([gx.ravel(), gy.ravel()]))
+    assert np.array_equal(mask, (depths >= 0.1).reshape(3, 4))
+    assert mask.any() and not mask.all()

@@ -462,7 +462,7 @@ def _parity_case(kind, d):
 PARITY_SIGMAS = (3.0, 1.0, 1.5, 1.0, 0.5, 5.0, 1.2, 2.0, 4.0, 0.8, 2.5)
 
 
-@pytest.mark.parametrize("cap", [SimplexBatch._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("cap", [geometry._CHUNK_ELEMS, 24])
 @pytest.mark.parametrize("kind", ["grid", "decimal", "gaussian"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_streaming_kernel_matches_einsum(d, kind, cap, monkeypatch):
@@ -475,7 +475,7 @@ def test_streaming_kernel_matches_einsum(d, kind, cap, monkeypatch):
     With the small cap the batches below take one query per chunk, a
     ragged last query chunk, and several chunks over the simplices.
     """
-    monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
     hit = np.zeros(3, dtype=bool)  # one query per chunk, ragged query chunk, m > cap
     verts, X = _parity_case(kind, d)
     if kind == "grid" and d == 2:
@@ -501,7 +501,7 @@ def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
     cover q = 0, q = 1, one query chunk, more query chunks than workers and
     a ragged last block, and no thread outlives a call.
     """
-    default = SimplexBatch._CHUNK_ELEMS
+    default = geometry._CHUNK_ELEMS
     # q 0, q 1, one query chunk, chunks > workers, ragged last block, several simplex chunks, degenerate members
     hit = np.zeros(7, dtype=bool)
     for kind, d in (("grid", 2), ("decimal", 3)):
@@ -511,7 +511,7 @@ def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
             mg = m - batch.n_degenerate
             want = np.array([_einsum_counts(batch, X, sigma) for sigma in PARITY_SIGMAS])
             for cap in (default, 24):
-                monkeypatch.setattr(SimplexBatch, "_CHUNK_ELEMS", cap)
+                monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
                 q_chunk = cap // max(1, min(mg, cap))
                 for workers in (1, 2, 3, 8):
                     monkeypatch.setattr(geometry, "_WORKERS", workers)
@@ -553,4 +553,9 @@ def test_simplex_batch_threads_keep_their_counts_under_stress(monkeypatch):
 def test_tolerance_validation():
     with pytest.raises(InputError):
         GeomTolerance(eps=-1e-9)
+    # a bool is a flag, not a number; strings, None and non-finite values are no eps either
+    for eps in (True, False, "0.1", None, math.nan, math.inf, np.array([0.1])):
+        with pytest.raises(InputError):
+            GeomTolerance(eps=eps)
     assert GeomTolerance(eps=0.0).eps == 0.0
+    assert GeomTolerance(eps=np.float64(0.5)).eps == 0.5

@@ -9,6 +9,7 @@ from oracle import smallest_covering_sigma_rebuild
 
 from sigmadepth.errors import InputError
 from sigmadepth.sim import (
+    COVER_LO,
     ResultRow,
     ResultTable,
     ScenarioConfig,
@@ -302,6 +303,17 @@ def test_smallest_covering_sigma_interval_case():
         DepthEvaluator(train1, cfg).depths(X), DepthEvaluator(train2, cfg).depths(X)
     )
     assert (d > 0).all()
+
+
+def test_smallest_covering_sigma_ends_of_the_search():
+    """COVER_LO when sigma 1 already covers every query; InputError when no sigma up to COVER_HI_CAP does."""
+    rng = np.random.default_rng(6)
+    train1 = rng.uniform(-2.0, -1.0, size=(50, 1))
+    train2 = rng.uniform(1.0, 2.0, size=(50, 1))
+    inside = np.concatenate([np.linspace(-1.8, -1.2, 5), np.linspace(1.2, 1.8, 5)])[:, None]
+    assert smallest_covering_sigma(train1, train2, inside) == COVER_LO
+    with pytest.raises(InputError, match="no covering sigma"):
+        smallest_covering_sigma(train1, train2, [[1000.0]])
 
 
 @pytest.mark.parametrize("method", ["simplicial", "dist_enlarged_blocks"])

@@ -254,6 +254,10 @@ def test_projection_median_intervals():
     assert np.allclose(lo, [1.0, 1.0]) and np.allclose(hi, [1.0, 1.0])
     line = uniform_on([[0.0], [1.0], [2.0], [3.0]])
     assert projection_median_interval(line, [1.0]) == (1.0, 2.0)
+    # a direction must be finite and have the distribution's dimension
+    for u in ([math.nan, 1.0], [1.0, math.inf], [1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(InputError):
+            projection_median_interval(grid, u)
 
 
 def test_point_mass_and_guards():
