@@ -17,8 +17,8 @@ Carlo mode averages over `budget` uniformly drawn index tuples (with
 replacement across draws, unbiased).  All randomness flows from the config
 seed through a single sequential generator, so results are bit-stable.
 
-Exact counts take one of three paths: pair counting by binary search in
-1-D, the triangle pair tables of `geometry.TrianglePairTables` in 2-D, and
+Exact counts take one of three paths: pair counting from sorted pair ends
+in 1-D, the triangle pair tables of `geometry.TrianglePairTables` in 2-D, and
 barycentric maps in d >= 3 and for the full transform, kept up to
 `_PRECOMP_MAX` simplices and rebuilt chunk by chunk on every call above.
 All three counters (`geometry.count_pairs_1d`, `TrianglePairTables` and
@@ -410,7 +410,10 @@ def _grid(data: np.ndarray, grid):
         axes = [np.linspace(lo[j], hi[j], int(grid)) for j in range(data.shape[1])]
     elif isinstance(grid, (list, tuple)) or getattr(grid, "ndim", 0) > 0:
         # the axes may differ in length, so grid itself is never made one array
-        axes = [np.asarray(a, dtype=float).ravel() for a in grid]
+        try:
+            axes = [np.asarray(a, dtype=float).ravel() for a in grid]
+        except (TypeError, ValueError):
+            raise InputError(f"grid axes must be numeric, got {grid!r}") from None
         if len(axes) != data.shape[1] or any(len(a) < 1 for a in axes):
             raise InputError("grid must give one coordinate array per axis")
     else:

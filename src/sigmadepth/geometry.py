@@ -33,7 +33,7 @@ DEFAULT_EPS = 1e-9
 PIVOT_RTOL = 1e-12
 # Added to eps by every hull rule, so a point on the hull's boundary passes despite rounding.
 HULL_SLACK = 1e-12
-# Threads for the containment kernel and 1-D pair counting: the cores this process may run on.
+# Threads for the containment kernel and 1-D pair counting's per-query rule: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Cap on each buffer of the three counters, in elements: 512 KiB per float
 # buffer, so the kernel's working set stays in a 2 MiB L2 cache.
@@ -587,15 +587,88 @@ class TrianglePairTables:
 def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     """(q, len(sigmas)) counts: the C(n, 2) pairs of values whose sigma-dilation contains each query.
 
-    A pair (a <= b) contains x iff A <= x <= B with A = (1-t)a + t*b,
-    B = (1-t)b + t*a and t = _thresholds(sigma, 1, eps).  Counts come from
-    n binary searches over the values, sorted once, per query and sigma:
-    O(q * n log n), not O(q * n^2).  The queries go in chunks whose
-    threshold buffers hold at most _CHUNK_ELEMS elements, spread over the
-    usable cores (numpy releases the GIL in the searches); each chunk
-    writes its own rows, so the counts do not depend on the thread count.
+    A pair (a < b) contains x iff A <= x <= B with A = u*a + t*b,
+    B = u*b + t*a, t = _thresholds(sigma, 1, eps) and u = 1 - t > 1/2.
     Pairs of equal values use the point rule |x - a| <= eps, matching the
     hull fallback of the barycentric counters.
+
+    Per sigma the ends of the P ~ n^2/2 pairs of distinct values are
+    sorted, and a query's count is #(A <= x) - #(B < x) plus its flat
+    pairs: O(P log P + q log P) per sigma, on the calling thread, with the
+    pairs built in chunks of _CHUNK_ELEMS.  The counts are byte-identical
+    to _count_pairs_1d_per_query's, whose thresholds round differently:
+    a query within delta = 8 * 2^-52 * (|x| + (u + |t|) * max|v|) of a
+    computed end is recounted by that rule at that sigma.  Derivation,
+    with unit roundoff e = 2^-53 and first-order terms: the computed A is
+    within 2e(u|a| + |t||b|) of the exact u*a + t*b; the per-query rule
+    decides a <= (x - t*b)/u, a threshold computed to within
+    (2e|x| + 3e|t||b|)/u, so off by at most 2e|x| + 3e|t||b| in x; B
+    likewise, with u and t swapped.  So away from the ends by more than
+    2e|x| + 5e(u + |t|)max|v|, both rules side with the exact
+    A <= x <= B, and delta is at least three times that.  With delta = 0,
+    queries one ulp from an end change count.
+
+    Cost rule: calls with 2q < n take the per-query rule, whose
+    O(q n log n) searches run on every core.  On two cores, with n = 200
+    to 2000 and 1 to 21 sigmas, the sorted ends took 0.9-1.9 times as long
+    at q = n/4 and 0.6-1.1 times at q = n/2; below n = 100 they win from
+    q = n/8.  So A7's two queries against 10 000 values never sort the
+    50 M ends.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    x = np.asarray(queries, dtype=float).ravel()
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    n, q = len(v), len(x)
+    if 2 * q < n:
+        return _count_pairs_1d_per_query(v, x, sigmas, eps)
+
+    # Queries in increasing order, so the searches walk the ends forward.
+    order = np.argsort(x)
+    xs = x[order]
+    ts = _thresholds(sigmas, 1, eps)
+    window = 8 * 2.0**-52 * np.abs(xs)  # delta's |x| term; its max|v| term is reach
+    reach = 8 * 2.0**-52 * np.abs(v).max(initial=0.0) * (1.0 - ts + np.abs(ts))
+
+    first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
+    last = np.cumsum(first)  # pairs (i, j), i < first[j], in (j, i) order: one past j's last
+    pairs = int(first.sum())
+    hits = np.zeros((len(ts), q), dtype=np.int64)
+    edge = np.zeros((len(ts), q), dtype=bool)  # within delta of an end in some chunk
+    for p0 in range(0, pairs, _CHUNK_ELEMS):
+        p = np.arange(p0, min(p0 + _CHUNK_ELEMS, pairs))
+        j = np.searchsorted(last, p, side="right")
+        a, b = v[p - last[j] + first[j]], v[j]
+        for k, t in enumerate(ts):
+            u = 1.0 - t
+            lo, hi = xs - (window + reach[k]), xs + (window + reach[k])
+            for ends, sign in ((u * a + t * b, 1), (u * b + t * a, -1)):
+                ends.sort()
+                below = np.searchsorted(ends, lo, side="left")
+                hits[k] += sign * below
+                edge[k] |= below != np.searchsorted(ends, hi, side="right")
+
+    hits += _flat_counts(v, xs, eps)
+
+    # One call recounts the flagged queries at the flagged sigmas, so one
+    # thread pool and one flat-pair pass serve them all.  A cell flagged at
+    # neither gets its count again: away from the ends both rules agree.
+    rows, cols = edge.any(axis=0), edge.any(axis=1)
+    if rows.any():
+        hits[np.ix_(cols, rows)] = _count_pairs_1d_per_query(v, xs[rows], sigmas[cols], eps).T
+    counts = np.empty((q, len(ts)), dtype=np.int64)
+    counts[order] = hits.T
+    return counts
+
+
+def _count_pairs_1d_per_query(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
+    """count_pairs_1d by n binary searches over the sorted values per query and sigma.
+
+    O(q * n log n).  For a pair (a < b) and each query it decides
+    a <= (x - t*b)/u for A <= x and the matching threshold in a for B < x.
+    The queries go in chunks whose threshold buffers hold at most
+    _CHUNK_ELEMS elements, spread over the usable cores (numpy releases
+    the GIL in the searches); each chunk writes its own rows, so the counts
+    do not depend on the thread count.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
@@ -603,10 +676,7 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
 
     first = np.searchsorted(v, v, side="left")  # per slot j: count of strictly smaller values
     strict_total = int(first.sum())
-
-    vals_u, cnt = np.unique(v, return_counts=True)
-    tied = cnt > 1  # only repeated values form flat pairs
-    tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
+    flat = _flat_counts(v, x, eps)
 
     ts = _thresholds(np.asarray(sigmas, dtype=float).ravel(), 1, eps)
     counts = np.empty((len(x), len(ts)), dtype=np.int64)
@@ -614,7 +684,6 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
 
     def count_chunk(s):
         xq = x[s : s + step, None]
-        flat_in = np.where(np.abs(tied_vals - xq) <= eps, flat_group, 0).sum(axis=1)
         for k, t in enumerate(ts):
             u = 1.0 - t
             # fail-left: A > x, conditioned on the smaller element of the pair
@@ -630,7 +699,19 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
             else:
                 thr_r = (xq - u * v) / t
                 fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
-            counts[s : s + step, k] = strict_total - fail_l - fail_r + flat_in
+            counts[s : s + step, k] = strict_total - fail_l - fail_r + flat[s : s + step]
 
     _on_threads(count_chunk, range(0, len(x), step))
     return counts
+
+
+def _flat_counts(v: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:
+    """Per query, the pairs of equal values a in v with |x - a| <= eps, in query chunks of _CHUNK_ELEMS cells."""
+    vals_u, cnt = np.unique(v, return_counts=True)
+    tied = cnt > 1  # only repeated values form flat pairs
+    tied_vals, flat_group = vals_u[tied], cnt[tied] * (cnt[tied] - 1) // 2
+    step = max(1, _CHUNK_ELEMS // max(len(tied_vals), 1))
+    flat = np.empty(len(x), dtype=np.int64)
+    for s in range(0, len(x), step):
+        flat[s : s + step] = np.where(np.abs(tied_vals - x[s : s + step, None]) <= eps, flat_group, 0).sum(axis=1)
+    return flat

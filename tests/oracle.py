@@ -150,7 +150,10 @@ def count_pairs_1d_loop(values: np.ndarray, queries: np.ndarray, sigma: float, e
 
     This is the per-query loop that `sigmadepth.depth._count_pairs_1d` ran
     before it was vectorized over query chunks, kept as the reference for
-    bit-identical counts.
+    bit-identical counts.  Its rule is `geometry._count_pairs_1d_per_query`,
+    the fallback that `count_pairs_1d` takes for calls with fewer than n/2
+    queries and for queries at knife edges of its sorted pair ends, so
+    agreement with this loop checks both that fallback and the sorted ends.
 
     A pair (a <= b) dilated by sigma with barycentric slack eps contains x
     iff A <= x <= B with A = (1-t)a + t*b, B = (1-t)b + t*a and

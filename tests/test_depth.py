@@ -525,15 +525,18 @@ def test_one_dim_counting_matches_pair_batch(seed):
 
 
 PAIR_COUNT_KINDS = ("gaussian", "grid", "decimal", "ties")
+SORTED_END_KINDS = PAIR_COUNT_KINDS + ("decimal_1e6",)
 
 
 def _pair_count_corpus(kind):
-    rng = np.random.default_rng(PAIR_COUNT_KINDS.index(kind))
+    rng = np.random.default_rng(SORTED_END_KINDS.index(kind))
     n = 26
     if kind == "grid":
         return rng.integers(-16, 17, n) / 8
     if kind == "decimal":
         return np.round(1e4 + 0.01 * rng.integers(-50, 51, n), 2)
+    if kind == "decimal_1e6":
+        return np.round(1e6 + 0.01 * rng.integers(-50, 51, n), 2)
     if kind == "ties":
         return rng.integers(0, 5, n).astype(float)
     return rng.standard_normal(n)
@@ -609,6 +612,86 @@ def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
                         assert got.shape == (q, len(sigmas))
                         assert np.array_equal(got, want[:q]), (n, eps, cap, workers, q)
     assert hit.all()
+
+
+def _end_chunks(v, X, sigma, eps, cap):
+    """Per query, how many pair chunks of cap pairs, in the counter's (j, i) order, hold an
+    end within the counter's knife-edge window delta = 8 * 2^-52 * (|x| + (u + |t|) * max|v|)."""
+    t = (1.0 - sigma) / 2.0 - eps * sigma
+    u = 1.0 - t
+    s = np.sort(v)
+    first = np.searchsorted(s, s, side="left")
+    j = np.repeat(np.arange(len(s)), first)
+    i = np.concatenate([np.arange(f) for f in first])
+    chunk = np.tile(np.arange(len(i)) // cap, 2)
+    ends = np.concatenate([u * s[i] + t * s[j], u * s[j] + t * s[i]])
+    delta = 8 * 2.0**-52 * (np.abs(X) + (u + abs(t)) * np.abs(s).max())
+    near = np.abs(ends - X[:, None]) <= delta[:, None]
+    return sum(near[:, chunk == c].any(axis=1) for c in range(chunk.max() + 1))
+
+
+@pytest.mark.parametrize("cap", [geometry._CHUNK_ELEMS, 24])
+@pytest.mark.parametrize("kind", SORTED_END_KINDS)
+def test_count_pairs_1d_sorted_ends_match_per_query_rule(kind, cap, monkeypatch):
+    """Counting from sorted pair ends gives the per-query rule's bytes, knife edges included.
+
+    The queries sit on every pair end and one and two ulps either side,
+    for sigmas just below, at and just above 1, so many of them fall in the
+    window that sends a query back to the per-query rule.  With the cap of
+    24 the pairs of 13 values span three or four chunks, and some query
+    lies near ends in more than one chunk, so its flags are ORed across
+    chunks before the one recount.
+    """
+    sigmas = [0.5, 1.0 - 1e-8, 1.0, 1.0 + 1e-12, 2.0, 6.0]
+    v = _pair_count_corpus(kind)
+    if cap == 24:
+        v = v[-13:]
+    most_chunks = 0  # the most pair chunks with an end near one query
+    for eps in (0.0, 1e-9):
+        X = np.concatenate([_pair_count_queries(v, sigma, eps) for sigma in sigmas])
+        two_down = np.nextafter(np.nextafter(X, -np.inf), -np.inf)
+        two_up = np.nextafter(np.nextafter(X, np.inf), np.inf)
+        X = np.concatenate([X, two_down, two_up])
+        assert 2 * len(X) >= len(v)  # the sorted path
+        want = geometry._count_pairs_1d_per_query(v, X, sigmas, eps)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_CHUNK_ELEMS", cap)
+            got = _count_pairs_1d(v, X, sigmas, eps)
+        assert np.array_equal(got, want), (kind, eps)
+        if cap == 24:
+            most_chunks = max(most_chunks, *(_end_chunks(v, X, sigma, eps, cap).max() for sigma in sigmas))
+    s = np.sort(v)
+    assert cap > 24 or (np.searchsorted(s, s).sum() > 2 * cap and most_chunks > 1)
+
+
+def test_count_pairs_1d_cost_rule_edges(monkeypatch):
+    """Calls with 2q < n take the per-query rule and the rest sorted pair ends, both with the loop's counts.
+
+    q = 0, q = 1 and q = 12 of 26 values return the per-query rule's array;
+    q = 13 and 14 sort the ends and may call that rule only to recount
+    knife edges.  No thread outlives a call.
+    """
+    v = _pair_count_corpus("grid")
+    sigmas, eps = [1.0, 2.0], 1e-9
+    X = np.concatenate([_pair_count_queries(v, sigma, eps) for sigma in sigmas])
+    X = np.random.default_rng(3).permutation(X)
+    rule = geometry._count_pairs_1d_per_query
+    returned = []
+
+    def spy(*args):
+        returned.append(rule(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(geometry, "_count_pairs_1d_per_query", spy)
+    for q in (0, 1, 12, 13, 14):
+        returned.clear()
+        threads = threading.active_count()
+        got = _count_pairs_1d(v, X[:q], sigmas, eps)
+        assert threading.active_count() == threads
+        assert got.shape == (q, len(sigmas))
+        want = np.column_stack([count_pairs_1d_loop(v, X[:q], sigma, eps) for sigma in sigmas])
+        assert np.array_equal(got, want), q
+        assert any(got is r for r in returned) == (2 * q < len(v)), q
 
 
 @pytest.mark.parametrize(
@@ -786,6 +869,8 @@ def test_trimmed_region_guards():
         trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid=(np.linspace(-1, 1, 3),))
     with pytest.raises(InputError):
         trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid="21")
+    with pytest.raises(InputError):
+        trimmed_region_grid(data[:, :2], DepthConfig(), 0.1, grid=(["a"], [1.0]))
 
 
 def test_trimmed_region_grid_takes_axes_of_different_lengths():
