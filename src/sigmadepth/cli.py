@@ -116,7 +116,7 @@ def _cmd_depth(args) -> int:
     vals = ev.depths(queries)
     rows = [(repr(float(v)), int(ev.exact)) for v in vals]
     _write_points_csv(args.out, queries, ["depth", "exact"], rows)
-    _echo_config(args.out, _flags(args))
+    _echo_config(args.out, {**_flags(args), "strategy": ev.strategy, "n_simplices": ev.n_simplices})
     return 0
 
 

@@ -36,7 +36,9 @@ HULL_SLACK = 1e-12
 # Threads for the containment kernel and 1-D pair counting's per-query rule: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Cap on each buffer of the three counters, in elements: 512 KiB per float
-# buffer, so the kernel's working set stays in a 2 MiB L2 cache.
+# buffer, so the kernel's working set stays in a 2 MiB L2 cache.  The pair
+# tables size their query chunk by it, _CHUNK_ELEMS // (widest rectangle),
+# so their table of one chunk, c * n^2, holds about four buffers' worth.
 _CHUNK_ELEMS = 2**16
 
 
@@ -131,7 +133,7 @@ def bary_affine_parts(verts: np.ndarray):
     else:
         # alpha_1..d = E^{-T} (x - v_0) with E's rows the edges; alpha_0 = 1 - sum.
         det = np.linalg.det(E)
-        good = ~_singular(det, scale)
+        good = ~_singular(np.abs(det), scale)
         if np.any(good):
             adj = np.linalg.inv(E[good]) * det[good, None, None]
             lin[1:, :, good] = adj.transpose(2, 1, 0)
@@ -148,14 +150,14 @@ def _det2(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
     return e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
 
 
-def _singular(det: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The singularity rule of bary_affine_parts: |det| <= PIVOT_RTOL * scale."""
-    return np.abs(det) <= PIVOT_RTOL * scale
+def _singular(absdet: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The singularity rule of bary_affine_parts, given absdet = |det|: |det| <= PIVOT_RTOL * scale."""
+    return absdet <= PIVOT_RTOL * scale
 
 
 def _row_absmax(a: np.ndarray) -> np.ndarray:
     """max |a[i, ...]| per leading index; a column loop beats numpy's short-row reduce."""
-    a = a.reshape(len(a), -1)
+    a = a.reshape(len(a), math.prod(a.shape[1:]))  # not -1: a may have no rows
     out = np.abs(a[:, 0])
     for j in range(1, a.shape[1]):
         np.maximum(out, np.abs(a[:, j]), out=out)
@@ -174,7 +176,7 @@ def barycentric_coordinates(simplex, x):
     if x.size != v.shape[1]:
         raise InputError(f"point dim {x.size} != simplex dim {v.shape[1]}")
     const, lin, det, scale = bary_affine_parts(v[None])
-    if _singular(det, scale)[0]:
+    if _singular(np.abs(det), scale)[0]:
         return None
     return (const[:, 0] + lin[:, :, 0] @ x) / det[0]
 
@@ -363,12 +365,13 @@ class SimplexBatch:
         self.m, k, self.d = verts.shape
         self.eps = float(eps)
         const, lin, det, scale = bary_affine_parts(verts)
-        good = ~_singular(det, scale)
+        absdet = np.abs(det)
+        good = ~_singular(absdet, scale)
         sign = np.where(det[good] < 0, -1.0, 1.0)
         # The nonsingular members' maps; np.compress keeps the row layout C-contiguous.
         self._const = np.compress(good, const, axis=1) * sign
         self._lin = np.compress(good, lin, axis=2) * sign
-        self._absdet = np.abs(det[good])
+        self._absdet = absdet[good]
         self._degenerate_verts = verts[~good]
 
     @property
@@ -498,7 +501,7 @@ class TrianglePairTables:
 
     The triangles are (i < j < k), vertices in that order, and no
     barycentric map is built per triangle.  Row r of bary_affine_parts
-    over the n^2 pseudo-triangles (v_a, v_a, v_b) gives the pair table
+    over the pseudo-triangles (v_a, v_a, v_b), a < b, gives the pair table
     T_r[a, b] = x . L_r[a, b] + C_r[a, b], summed by _dot_into, and the
     det-scaled values of triangle (i, j, k) are T0[j, k], T1[i, k] and
     T0[i, j]: the very doubles of the map kernel, before its sign flip to
@@ -506,41 +509,54 @@ class TrianglePairTables:
     0's negated, so T1 = -T0 and only row 0's map is kept.  So the
     decision is the kernel's: the least of the three values times
     sign(det) is >= t(sigma)*|det|.  Per middle vertex j the triangles
-    fill the rectangle T1[:j, j+1:], with T0[j, j+1:] broadcast down its
-    rows and T0[:j, j] across its columns.  det and the singularity rule
-    are those of bary_affine_parts on the edges v_j - v_i and v_k - v_i;
-    singular triangles take the hull fallback, as in SimplexBatch.
+    fill the rectangle T1[:j, j+1:] = -T0[:j, j+1:], with T0[j, j+1:]
+    broadcast down its rows and T0[:j, j] across its columns.  det and the
+    singularity rule are those of bary_affine_parts on the edges v_j - v_i
+    and v_k - v_i; singular triangles take the hull fallback, as in
+    SimplexBatch.
 
     The pair map, |det| and sign(det) (9 bytes per triangle) and the
-    singular triangles are built once, here.  The pair tables of one query
-    chunk hold at most _CHUNK_ELEMS elements each, or one query's n^2 if
-    that is more.
+    singular triangles are built once, here.  A call takes its queries in
+    chunks of c = _CHUNK_ELEMS // (the widest rectangle, about n^2/4), at
+    least one.  Per chunk it fills one table of c * n^2 values, summing
+    _dot_into's odd lane a piece at a time in a rectangle buffer, and then
+    counts each rectangle once for all c queries.  So the two rectangle
+    buffers hold at most _CHUNK_ELEMS elements each, or one rectangle when
+    n > 513, and the table about four times that, whatever q.
     """
 
     def __init__(self, V: np.ndarray, eps: float = DEFAULT_EPS):
         V = np.asarray(V, dtype=float)
         self.n = n = len(V)
         self.eps = float(eps)
-        a, b = np.divmod(np.arange(n * n), n)
+        # The map of each pair a < b; the pairs a >= b are never read.
+        a, b = np.triu_indices(n, 1)
         const, lin, _, _ = bary_affine_parts(V[np.stack([a, a, b], axis=1)])
-        self._lin, self._const = lin[0].copy(), const[0].copy()
+        self._lin, self._const = np.zeros((2, n * n)), np.zeros(n * n)
+        self._lin[:, a * n + b], self._const[a * n + b] = lin[0], const[0]
 
         # Per middle vertex j: |det|, NaN where singular so that no threshold
         # passes; the sign of det; and the singular triangles (i, j, k).
         D = V[None, :] - V[:, None]  # D[i, j] = v_j - v_i
         vmax = _row_absmax(V)
         emax = _row_absmax(D.reshape(n * n, 2)).reshape(n, n)
-        self._absdets, self._signs, flat = [], [], []
+        vpair = np.maximum.outer(vmax, vmax)
+        self._absdets, self._signs = [], []
+        flat = [np.empty((0, 3), dtype=np.intp)]
         for j in range(1, n - 1):
             det = _det2(D[:j, j, None], D[:j, j + 1 :])
+            # from det < 0, not the sign bit: -0.0 gets +1, as in SimplexBatch
+            self._signs.append(1 - 2 * (det < 0).view(np.int8))
+            absdet = np.abs(det, out=det)
             # bary_affine_parts' scale: max |v| over the three vertices times max |edge|
-            scale = np.maximum(np.maximum.outer(vmax[:j], vmax[j + 1 :]), vmax[j])
+            scale = np.maximum(vpair[:j, j + 1 :], vmax[j])
             scale *= np.maximum(emax[:j, j, None], emax[:j, j + 1 :])
-            singular = _singular(det, scale)
-            self._absdets.append(np.where(singular, np.nan, np.abs(det)))
-            self._signs.append(np.where(det < 0, -1, 1).astype(np.int8))
-            i, k = np.nonzero(singular)
-            flat.append(np.stack([i, np.full_like(i, j), k + j + 1], axis=1))
+            singular = _singular(absdet, scale)
+            if singular.any():
+                i, k = np.nonzero(singular)
+                absdet[i, k] = np.nan
+                flat.append(np.stack([i, np.full_like(i, j), k + j + 1], axis=1))
+            self._absdets.append(absdet)
         self._degenerate_verts = V[np.concatenate(flat)]
 
     @property
@@ -555,30 +571,36 @@ class TrianglePairTables:
         t = _thresholds(sigmas, 2, self.eps)
         counts = np.zeros((len(sigmas), q), dtype=np.int64)
 
-        q_chunk = max(1, _CHUNK_ELEMS // (n * n))
-        qc = min(q, q_chunk)
-        tables = [np.empty((qc, n * n)) for _ in range(3)]
-        widest = max(x.size for x in self._absdets)
-        low_buf, val_buf, sign_buf = np.empty(qc * widest), np.empty(qc * widest), np.empty(widest)
-        for qs in range(0, q, q_chunk):
-            Xc = X[qs : qs + q_chunk, :, None]
-            c = len(Xc)
-            T0, T1, odd = (tab[:c] for tab in tables)
-            _dot_into(Xc, self._lin, T0, odd, odd)  # the last scratch buffer is used for d > 2 only
-            T0 += self._const
-            np.negative(T0, out=T1)
-            T0, T1 = T0.reshape(c, n, n), T1.reshape(c, n, n)
-            for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
-                low, val = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf))
-                sign = sign_buf[: absdet.size].reshape(absdet.shape)
-                np.copyto(sign, sign8)
-                # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j]
-                np.multiply(T1[:, :j, j + 1 :], sign, out=low)
-                np.multiply(T0[:, None, j, j + 1 :], sign, out=val)
-                np.minimum(low, val, out=low)
-                np.multiply(T0[:, :j, j, None], sign, out=val)
-                np.minimum(low, val, out=low)
-                _add_hits(counts[:, qs : qs + c], low, np.multiply.outer(t, absdet), val_buf)
+        if self._absdets and q:  # no triangles below 3 points
+            widest = max(x.size for x in self._absdets)
+            q_chunk = max(1, _CHUNK_ELEMS // widest)
+            qc = min(q, q_chunk)
+            table = np.empty((qc, n * n))
+            low_buf, val_buf, sign_buf = np.empty(qc * widest), np.empty(qc * widest), np.empty(widest)
+            for qs in range(0, q, q_chunk):
+                Xc = X[qs : qs + q_chunk, :, None]
+                c = len(Xc)
+                T0 = table[:c]
+                for s in range(0, n * n, widest):
+                    out = T0[:, s : s + widest]
+                    odd = low_buf[: out.size].reshape(out.shape)
+                    _dot_into(Xc, self._lin[:, s : s + widest], out, odd, odd)  # tmp is used for d > 2 only
+                    out += self._const[s : s + widest]
+                T0 = T0.reshape(c, n, n)
+                for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
+                    low, val = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf))
+                    # float signs: one cast per pass beats three mixed-type multiplies
+                    sign = sign_buf[: absdet.size].reshape(absdet.shape)
+                    np.copyto(sign, sign8)
+                    # the least sign-corrected value of T1[i, k], T0[j, k] and T0[i, j];
+                    # negating the rectangle first is faster than one strided multiply
+                    np.negative(T0[:, :j, j + 1 :], out=low)
+                    low *= sign
+                    np.multiply(T0[:, None, j, j + 1 :], sign, out=val)
+                    np.minimum(low, val, out=low)
+                    np.multiply(T0[:, :j, j, None], sign, out=val)
+                    np.minimum(low, val, out=low)
+                    _add_hits(counts[:, qs : qs + c], low, np.multiply.outer(t, absdet), val_buf)
 
         _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts

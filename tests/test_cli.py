@@ -85,6 +85,24 @@ def test_depth_command_without_out_writes_to_stdout_and_stderr(tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "q.csv"]
 
 
+@pytest.mark.parametrize(
+    "d, approx, strategy, n_simplices",
+    [(1, None, "count1d", 45), (2, None, "pairs2d", 120), (2, "300", "mc", 300)],
+)
+def test_depth_sidecar_names_strategy_and_simplices(tmp_path, d, approx, strategy, n_simplices):
+    """The `.config.json` sidecar of `depth` records the counting path and the simplices per depth."""
+    rng = np.random.default_rng(3)
+    data = tmp_path / "data.csv"
+    write_csv(data, rng.standard_normal((10, d)))
+    query = tmp_path / "q.csv"
+    write_csv(query, rng.standard_normal((3, d)))
+    out = tmp_path / "depths.csv"
+    argv = ["depth", "--data", str(data), "--query", str(query), "--out", str(out)]
+    assert main(argv + (["--approx", approx] if approx else [])) == 0
+    sidecar = json.loads((tmp_path / "depths.csv.config.json").read_text())
+    assert sidecar["strategy"] == strategy and sidecar["n_simplices"] == n_simplices
+
+
 def test_depth_command_is_reproducible_with_budget(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "data.csv"

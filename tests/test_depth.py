@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -281,6 +282,11 @@ def _pair_table_corpus(kind):
     return P, np.vstack([far, P, (P[i] + P[j]) / 2])
 
 
+def _widest_rectangle(n):
+    """Triangles with the middle vertex j = (n - 1) // 2: j * (n - 1 - j), the most of any j."""
+    return (n - 1) ** 2 // 4
+
+
 def _all_triangle_batch(P):
     return SimplexBatch(P[np.array(list(itertools.combinations(range(len(P)), 3)))])
 
@@ -296,8 +302,8 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
 
     Computed directly and through exact 2-D evaluators: simplicial,
     simplex-enlarged over a sigma grid, and block transform at each sigma.
-    The table cap gives 7 queries per chunk, so 302 queries span 44
-    chunks, the last holding one.
+    The cap gives 7 queries per chunk, so 302 queries span 44 chunks, the
+    last holding one.
     """
     P, X = _pair_table_corpus(kind)
     batch = _all_triangle_batch(P)
@@ -307,19 +313,25 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
         _all_triangle_batch(sample_sigma_blocks(P, s)).contains_counts(X, [1.0])[0] for s in PAIR_TABLE_SIGMAS
     ]
 
-    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", 7 * len(P) ** 2)
-    assert len(X) % 7 == 1
-    flat = []
-    add_hull_counts = geometry._add_hull_counts
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", 7 * _widest_rectangle(len(P)))
+    flat, chunk_sizes = [], []
+    add_hull_counts, add_hits = geometry._add_hull_counts, geometry._add_hits
 
     def recorded(counts, verts, *args):
         flat.append(verts)
         add_hull_counts(counts, verts, *args)
 
+    def recorded_hits(counts, *args):
+        chunk_sizes.append(counts.shape[1])
+        add_hits(counts, *args)
+
     monkeypatch.setattr(geometry, "_add_hull_counts", recorded)
+    monkeypatch.setattr(geometry, "_add_hits", recorded_hits)
     tables = TrianglePairTables(P)
     assert tables.n_degenerate == batch.n_degenerate
     assert np.array_equal(tables.contains_counts(X, PAIR_TABLE_SIGMAS), want)
+    # one compare-and-count per middle vertex and chunk
+    assert chunk_sizes == [7] * (43 * (len(P) - 2)) + [1] * (len(P) - 2)
     # the same singular triangles, each with its vertices in (i, j, k) order
     assert np.array_equal(_sorted_rows(flat[0]), _sorted_rows(batch._degenerate_verts))
 
@@ -334,6 +346,62 @@ def test_pair_tables_match_simplex_batch(kind, monkeypatch):
         ev = DepthEvaluator(P, exact_cfg(method="dist_enlarged_blocks", sigma=s))
         assert ev.strategy == "pairs2d" and ev.n_simplices == math.comb(8, 3)
         assert np.array_equal(ev.contain_counts(X), counts)
+
+
+@pytest.mark.parametrize("kind", ("gaussian", "grid", "sliver"))
+def test_pair_table_counts_do_not_depend_on_query_chunk(kind, monkeypatch):
+    """Caps giving 1, 2 and all queries per chunk give SimplexBatch's counts.
+
+    301 queries, so the 2-query chunks end in a ragged one, and 1 and 0
+    queries; 9 sigmas, one more than _add_hits compares per pass.  The
+    hull fallback sees no query chunk, so it runs once, at the default cap.
+    """
+    P, X = _pair_table_corpus(kind)
+    X = X[:-1]
+    sigmas = (*PAIR_TABLE_SIGMAS, 1.25, 2.5, 4.0)
+    want = _all_triangle_batch(P).contains_counts(X, sigmas)
+    tables = TrianglePairTables(P)
+    hull = np.zeros_like(want)
+    geometry._add_hull_counts(hull, tables._degenerate_verts, X, sigmas, tables.eps)
+
+    def hull_once(counts, verts, Xq, *args):
+        counts += hull[:, : len(Xq)]
+
+    monkeypatch.setattr(geometry, "_add_hull_counts", hull_once)
+    for per_chunk in (1, 2, len(X)):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMS", per_chunk * _widest_rectangle(len(P)))
+        for q in (len(X), 1, 0):
+            assert np.array_equal(tables.contains_counts(X[:q], sigmas), want[:, :q]), (per_chunk, q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pair_tables_below_three_points_count_nothing(n):
+    """Fewer than 3 points form no triangle: zero counts.  DepthEvaluator still refuses
+    the data: InsufficientDataError, or InputError for no points at all."""
+    P = np.arange(2.0 * n).reshape(n, 2)
+    tables = TrianglePairTables(P)
+    assert tables.n_degenerate == 0
+    counts = tables.contains_counts(np.zeros((4, 2)), [1.0, 2.0])
+    assert counts.shape == (2, 4) and not counts.any()
+    with pytest.raises(InsufficientDataError if n else InputError):
+        DepthEvaluator(P, DepthConfig())
+
+
+def test_pair_table_count_memory_does_not_grow_with_queries():
+    """The tracemalloc peak of one call is the same for 30 and 300 queries, apart from the counts.
+
+    At n = 100 a chunk holds 65536 // 2450 = 26 queries, so both calls run full chunks.
+    """
+    rng = np.random.default_rng(31)
+    tables = TrianglePairTables(rng.standard_normal((100, 2)))
+    X = rng.standard_normal((300, 2))
+    peaks = {}
+    for q in (30, 300):
+        tracemalloc.start()
+        tables.contains_counts(X[:q], [1.5])
+        peaks[q] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[300] <= peaks[30] + 8 * (300 - 30)
 
 
 def test_pair_table_path_builds_no_simplex_batch(monkeypatch):
