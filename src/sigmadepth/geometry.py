@@ -11,9 +11,11 @@ point exactly on a facet counts as inside regardless of rounding.
 Degenerate (affinely dependent) simplices are legal: containment then
 falls back to convex-hull membership of the vertex set, so duplicated
 data points behave deterministically.  convex_hull_contains_many is the
-one hull decision, its rule chosen by the shape of the set; only d >= 4
-sets and flat clouds that no other rule covers reach the hull LP, which
-accepts at its tolerance of about 1e-7.
+one hull decision.  In d <= 3 it is one sup-norm rule at eps, the slab
+rule, with candidate normals chosen by the shape of the set: every 2-D
+set goes through its convex polygon, with no Qhull and no LP.  Only
+d >= 4 sets and flat 3-D clouds reach the hull LP, which accepts at its
+tolerance of about 1e-7.
 """
 
 from __future__ import annotations
@@ -213,17 +215,18 @@ def convex_hull_contains(points, x, tol: GeomTolerance = GeomTolerance()) -> boo
 
 
 def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -> np.ndarray:
-    """Mask over the rows of X (q, d): within tol.eps of the convex hull of the points (k, d).
+    """Mask over the rows of X (q, d): within sup-norm tol.eps of the convex hull of the points (k, d).
 
-    d = 1 or k <= d + 1: the interval and slab rules of _hulls_contain.
-    Otherwise Qhull's facets (Barber, Dobkin & Huhdanpaa 1996): x is inside
-    when its signed distance to every facet's hyperplane is at most eps.
-    Qhull rejects clouds flat even only within its precision; a 2-D one
-    within eps of the segment between its lexicographic extremes is that
-    segment, a flat triangle, and any other goes to the LP.  So eps is a
-    sup-norm distance for at most d + 1 points but a Euclidean facet
-    distance for larger clouds: at a large eps one hull given by more
-    points can reject a query that its d + 1 vertices accept.
+    d = 1: the interval rule.  In d = 2 and 3 the slab rule of
+    _slabs_contain, one sup-norm rule whose candidate normals and vertices
+    depend on the set:
+    - d = 2, any k: the convex polygon (_polygon_slabs), its edge normals
+      and the two axes, with the queries in chunks so no buffer grows with q;
+    - d = 3, k <= 4: every vertex difference (_hulls_contain);
+    - d = 3, k > 4: Qhull's vertices (Barber, Dobkin & Huhdanpaa 1996), and
+      its facet normals, facet edges crossed with the axes, and the axes
+      (_qhull_slabs), queries in chunks as in 2-D.
+    Flat 3-D clouds, which Qhull rejects, and every d >= 4 set go to _hull_lp.
     """
     pts = as_points(points)
     k, d = pts.shape
@@ -232,33 +235,91 @@ def convex_hull_contains_many(points, X, tol: GeomTolerance = GeomTolerance()) -
         X = X[:, None]
     if X.ndim != 2 or X.shape[1] != d or not np.all(np.isfinite(X)):
         raise InputError(f"queries must be a finite (q, {d}) array")
-    if d > 1 and k > d + 1:
+    if d == 2:
+        return _slab_mask(*_polygon_slabs(pts), X, tol.eps)
+    if d == 3 and k > 4:
         # imported here: scipy.spatial would cost start-up a third of a second
         from scipy.spatial import ConvexHull, QhullError
 
         try:
             hull = ConvexHull(pts)
         except QhullError:
-            if d == 2:
-                seg = pts[np.lexsort(pts.T[::-1])][[0, -1, -1]]
-                if _hulls_contain(seg[None], pts, tol.eps).all():
-                    pts = seg
+            pass
         else:
-            dist = X @ hull.equations[:, :d].T + hull.equations[:, d]
-            return (dist <= tol.eps + HULL_SLACK).all(axis=1)
+            return _slab_mask(*_qhull_slabs(pts, hull), X, tol.eps)
     return _hulls_contain(pts[None], X, tol.eps)[0]
+
+
+def _polygon_slabs(pts: np.ndarray):
+    """(U, V): candidate normals and vertices of the slab rule for the hull of pts (k, 2).
+
+    V is the convex polygon by Andrew's monotone chain (1979) over the
+    lexicographically sorted points, dropping repeated and collinear ones;
+    U its edge normals and the two axes, the facet normals of
+    conv(V) + [-r, r]^2.  A float chain may drop a true vertex lying just
+    outside it, so every point is checked against the polygon at
+    HULL_SLACK, and any that fails joins V.  Every point then passes at
+    any eps, and the slabs of U reach out to the few joined points.
+    """
+    rows = pts[np.lexsort(pts.T[::-1])].tolist()
+    lower, upper = _chain(rows), _chain(rows[::-1])
+    W = np.array(lower[:-1] + upper)  # the closed polygon: its first vertex again at the end
+    V = W[: max(1, len(W) - 1)]
+    U = np.concatenate([(W[1:] - W[:-1])[:, ::-1] * [-1.0, 1.0], np.eye(2)])
+    outside = ~_slab_mask(U, V, pts, 0.0)
+    return U, np.vstack([V, pts[outside]])
+
+
+def _chain(rows: list) -> list:
+    """One half of Andrew's monotone chain: the points of rows kept by strict left turns."""
+    out = []
+    for x, y in rows:
+        # pop while (b - a) x (p - a) <= 0 for the last two kept points a, b
+        while len(out) > 1:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                break
+            out.pop()
+        out.append((x, y))
+    return out
+
+
+def _qhull_slabs(pts: np.ndarray, hull):
+    """(U, V): candidate normals and vertices of the slab rule for a full 3-D cloud pts and its Qhull hull.
+
+    V is Qhull's vertices and the points it found on a facet within its
+    precision (Qhull's Qc), so no input point lies outside V's hull by more
+    than that.  U is the facet normals of conv(V) + [-r, r]^3 (Gritzmann &
+    Sturmfels 1993): the facet normals, the cross products of the facet
+    edges with the axes, and the axes.
+    """
+    V = pts[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+    F = pts[hull.simplices]
+    pairs = np.unique(np.sort(hull.simplices[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1), axis=0)
+    E = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    facets = np.cross(F[:, 1] - F[:, 0], F[:, 2] - F[:, 0])
+    return np.vstack([facets, np.cross(E[:, None], np.eye(3)).reshape(-1, 3), np.eye(3)]), V
+
+
+def _slab_mask(U: np.ndarray, V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
+    """_slabs_contain for one set of vertices V (k, d) and normals U (c, d), over the rows of X,
+    in chunks of queries and normals whose (normals, queries, vertices) products fit in _CHUNK_ELEMS."""
+    c_step = max(1, _CHUNK_ELEMS // len(V))
+    q_step = max(1, _CHUNK_ELEMS // (min(len(U), c_step) * len(V)))
+    out = np.ones(len(X), dtype=bool)
+    for qs in range(0, len(X), q_step):
+        for cs in range(0, len(U), c_step):
+            out[qs : qs + q_step] &= _slabs_contain(U[None, cs : cs + c_step], V[None], X[qs : qs + q_step], eps)[0]
+    return out
 
 
 def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     """(m, q) mask: row j of X within sup-norm eps of the hull of V[i] (m, k, d).
 
-    1-D: the interval rule.  d = 2, 3 and k <= d + 1: the slab rule.  x is
-    within r = eps + HULL_SLACK of conv(V) iff it lies in conv(V) + [-r, r]^d,
-    whose facet normals are cross products of d - 1 vertex differences or
-    axes (Gritzmann & Sturmfels 1993): 5 candidates per triangle, 36 per
-    tetrahedron.  Each u, zero or not a facet normal too, gives a valid slab
-    min_k u.(x - v_k) <= r|u|_1, max_k u.(x - v_k) >= -r|u|_1, measured from
-    every vertex so a vertex always passes.  Other sets go to _hull_lp.
+    1-D: the interval rule.  d = 2, 3 and k <= d + 1: _slabs_contain, with
+    every vertex difference and axis as the edge directions, their normals
+    a quarter turn in 2-D and cross products in 3-D: 5 candidates per
+    triangle, 36 per tetrahedron.  Other sets go to _hull_lp.
     """
     m, k, d = V.shape
     if d == 1:
@@ -272,12 +333,27 @@ def _hulls_contain(V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     else:
         a, b = np.triu_indices(dirs.shape[1], 1)
         U = np.cross(dirs[:, a], dirs[:, b])
-    Y = X[None, :, None] - V[:, None]  # (m, q, k, d): x - v_k
-    dots = U[:, :, None, None, 0] * Y[:, None, ..., 0]  # (m, c, q, k)
-    for j in range(1, d):
-        dots += U[:, :, None, None, j] * Y[:, None, ..., j]
+    return _slabs_contain(U, V, X, eps)
+
+
+def _slabs_contain(U: np.ndarray, V: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
+    """(m, q) mask: row j of X inside every slab of the candidate normals U[i] (m, c, d) over V[i] (m, k, d).
+
+    x is within r = eps + HULL_SLACK of conv(V) iff it lies in
+    conv(V) + [-r, r]^d, whose facet normals are cross products of d - 1
+    edge directions of the summands: hull edges or axes (Gritzmann &
+    Sturmfels 1993).  Each u, zero or not a facet normal too, gives a valid
+    slab min_k u.(x - v_k) <= r|u|_1, max_k u.(x - v_k) >= -r|u|_1,
+    measured from every vertex so a vertex always passes.  So the rule is
+    exact when U holds every facet normal.
+    """
+    # u.(x - v_k) as (m, k, c, q), one coordinate of x - v_k at a time; with
+    # k second, the min and max over it are elementwise passes, not short-row reduces
+    dots = U[:, None, :, 0, None] * (X[None, None, :, 0] - V[:, :, None, 0])[:, :, None]
+    for j in range(1, V.shape[2]):
+        dots += U[:, None, :, j, None] * (X[None, None, :, j] - V[:, :, None, j])[:, :, None]
     slack = (eps + HULL_SLACK) * np.abs(U).sum(axis=2)[..., None]
-    return ((dots.min(axis=3) <= slack) & (dots.max(axis=3) >= -slack)).all(axis=1)
+    return ((dots.min(axis=1) <= slack) & (dots.max(axis=1) >= -slack)).all(axis=1)
 
 
 def _hull_lp(pts: np.ndarray, x: np.ndarray, eps: float) -> bool:

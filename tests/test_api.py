@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sigmadepth
@@ -59,7 +60,7 @@ def test_perfbench_tracer_targets_resolve():
 
 def test_import_leaves_scipy_optimize_unloaded():
     """The package and its CLI import without scipy.optimize, scipy.special or scipy.spatial;
-    only the LP, the fits, the scenario-3 band draws and Qhull need them, and scipy.spatial
+    only the LP, the fits, the scenario-3 band draws and 3-D Qhull need them, and scipy.spatial
     alone costs start-up about a third of a second.  Flat hulls in d <= 3 are decided by the
     interval and slab rules, so exact 2-D and 3-D depth on grid data (109 flat tetrahedra, queries
     in their planes) and a flat training cloud leave the LP unloaded."""
@@ -84,6 +85,38 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[False,", "False,", "False]", "False"]
+
+
+def test_two_dimensional_hulls_leave_scipy_spatial_unloaded(tmp_path):
+    """2-D hulls are decided without Qhull and without the LP: outsider_mask on a full 2-D
+    cloud, CLI classify on 2-D CSVs and one desk-scale scenario-1 rep leave scipy.spatial
+    and scipy.optimize unloaded in a fresh interpreter."""
+    rng = np.random.default_rng(3)
+    train1 = rng.standard_normal((60, 2))
+    train2 = 3.0 * rng.standard_normal((60, 2)) + 2.0
+    test = 2.0 * rng.standard_normal((30, 2))
+    paths = []
+    for name, pts in [("train1", train1), ("train2", train2), ("test", test)]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in pts))
+        paths.append(str(path))
+    src = str(Path(sigmadepth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, numpy as np, sigmadepth as sd\n"
+        "from sigmadepth import cli, sim\n"
+        "t1, t2, X = (np.loadtxt(p, delimiter=',') for p in sys.argv[1:4])\n"
+        "mask = sd.outsider_mask(t1, t2, X)\n"
+        "assert mask.any() and not mask.all()\n"
+        "argv = ['classify', '--train1', sys.argv[1], '--train2', sys.argv[2], '--test', sys.argv[3]]\n"
+        "assert cli.main([*argv, '--out', sys.argv[4]]) == 0\n"
+        "sim.run_scenario(sim.default_config(1, reps=1))\n"
+        "print([m in sys.modules for m in ('scipy.spatial', 'scipy.optimize')])"
+    )
+    argv = [sys.executable, "-c", code, *paths, str(tmp_path / "pred.csv")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[False,", "False]"]
+    assert (tmp_path / "pred.csv").read_text().count("\n") == 31
 
 
 def test_import_leaves_thread_pool_unloaded():

@@ -347,8 +347,8 @@ def test_outsider_mask_decimal_collinear_cloud(base):
 
     The points (base + 0.1a, 2 base + 0.3a), a = 0..8, lie up to about
     1e-12 off the segment between their extremes, off it at eps 0 but
-    within the default eps.  Qhull rejects the cloud, the segment stands
-    for it, and in a fresh interpreter scipy.optimize stays unloaded.
+    within the default eps.  Qhull rejects the cloud, the polygon rule
+    decides it, and in a fresh interpreter scipy.optimize stays unloaded.
     """
     from scipy.spatial import ConvexHull, QhullError
 

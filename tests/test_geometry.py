@@ -22,7 +22,7 @@ from sigmadepth.geometry import (
     simplex_contains,
 )
 
-from oracle import hull_contains_exact
+from oracle import hull_contains_exact, hull_distances_exact
 
 RTOL = 1e-12
 
@@ -129,7 +129,7 @@ def test_hull_decisions_agree_on_grid_simplices(d, flat):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_full_cloud_hull_mask_runs_no_lp(d, monkeypatch):
-    """A full-dimensional 200-point cloud is decided by Qhull's facets, with no LP call, as outsider_mask decides it."""
+    """A full-dimensional 200-point cloud is decided by the slab rule, with no LP call, as outsider_mask decides it."""
     rng = np.random.default_rng(d)
     cloud = rng.standard_normal((200, d))
     X = 2.0 * rng.standard_normal((100, d))
@@ -139,6 +139,124 @@ def test_full_cloud_hull_mask_runs_no_lp(d, monkeypatch):
     assert {True, False} <= set(mask.tolist())
     assert mask.tolist() == (~outsider_mask(cloud, cloud + 100.0, X)).tolist()
     assert [geometry._hull_lp(cloud, x, geometry.DEFAULT_EPS) for x in X[:20]] == mask[:20].tolist()
+
+
+def _hull_corpus(kind, rng):
+    """A cloud of more than d + 1 points: in 2-D Gaussian, on the 1/4 grid, one-decimal data at
+    1e4 or 1e6, four points repeated, or the nearly collinear cloud at 1e8 that Qhull rejects;
+    in 3-D Gaussian or on the 1/2 grid."""
+    if kind == "gaussian":
+        return rng.standard_normal((18, 2))
+    if kind == "grid":
+        return rng.integers(-3, 4, (18, 2)) / 4
+    if kind in ("decimal_1e4", "decimal_1e6"):
+        base = float(kind[-3:])
+        return np.array([[f"{base + v:.1f}" for v in p] for p in rng.standard_normal((18, 2))], dtype=float)
+    if kind == "duplicate":
+        return rng.standard_normal((4, 2))[rng.integers(0, 4, 18)]
+    if kind == "collinear_1e8":
+        t = np.linspace(0.0, 1.0, 7)
+        cloud = 1e8 + np.column_stack([t, t])
+        cloud[3, 1] += 1e-7
+        return cloud
+    if kind == "gaussian_3d":
+        return rng.standard_normal((10, 3))
+    return rng.integers(-2, 3, (10, 3)) / 2
+
+
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "grid", "decimal_1e4", "decimal_1e6", "duplicate", "collinear_1e8", "gaussian_3d", "grid_3d"]
+)
+def test_cloud_hull_mask_matches_exact(kind, monkeypatch):
+    """On clouds of more than d + 1 points the mask equals the exact rational rule at eps 0, 1e-9 and 0.25.
+
+    Queries sit at the points, at midpoints of consecutive points, 5e-10
+    to 0.3 off the points, and in the box around them (on the 1/8 grid
+    for grid clouds).  No case makes an LP call.
+    """
+    rng = np.random.default_rng(list(kind.encode()))
+    P = _hull_corpus(kind, rng)
+    d = P.shape[1]
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    box = lo + (hi - lo) * rng.uniform(-0.3, 1.3, (20, d))
+    if "grid" in kind:
+        box = np.round(8 * box) / 8
+    off = P + rng.choice([-1.0, 1.0], P.shape) * rng.choice([5e-10, 2e-9, 0.2, 0.3], (len(P), 1))
+    X = np.vstack([P, (P[:-1] + P[1:]) / 2, off, box])
+    dist = hull_distances_exact(P, X)
+    calls = _count_lp_calls(monkeypatch)
+    decided = set()
+    for eps in (0.0, 1e-9, 0.25):
+        want = [r <= Fraction(eps + geometry.HULL_SLACK) for r in dist]  # hull_contains_exact's rule
+        assert convex_hull_contains_many(P, X, GeomTolerance(eps=eps)).tolist() == want
+        decided.update(want)
+    assert len(calls) == 0
+    assert decided == {True, False}
+
+
+def test_polygon_keeps_every_point_of_a_nearly_collinear_cloud():
+    """Every point of a 2-D cloud lies in its own hull, even where the float chain misjudges a turn.
+
+    Twelve points on a line through 0 with slope 3.3, spread over 1e5,
+    each moved 1e-11 up or down or not at all: at this spread the float
+    turns near the line are rounding, so the polygon misses points that
+    the check puts back.  Every point is inside at eps 0, and queries
+    3e-9 to 1e-8 off the points are decided as exactly at eps 1e-9.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        t = rng.uniform(0.0, 1e5, 12)
+        P = np.column_stack([t, 3.3 * t + rng.choice([0.0, 1e-11, -1e-11], 12)])
+        assert convex_hull_contains_many(P, P, GeomTolerance(eps=0.0)).all()
+        X = P + rng.choice([-1.0, 1.0], P.shape) * rng.choice([3e-9, 1e-8], (12, 1))
+        assert convex_hull_contains_many(P, X).tolist() == hull_contains_exact(P, X, geometry.DEFAULT_EPS)
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["2d", "3d"])
+def test_hull_eps_is_one_norm_with_or_without_centroid(lift):
+    """eps is a sup-norm distance however the hull is given.
+
+    The triangle (0, 0), (1, 0), (0, 1) holds (1.2, 0.2) at eps 0.25: its
+    sup-norm distance is 0.2, though its Euclidean distance to the long
+    edge is 0.28.  (1.3, 0.3) is 0.3 away and stays out.  The same holds
+    with the centroid added, and lifted to 3-D, where the triangle gets
+    the apex (0, 0, 1) and each query a third coordinate equal to its second.
+    """
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    X = np.array([[1.2, 0.2], [1.3, 0.3]])
+    if lift:
+        V = np.vstack([np.column_stack([V, np.zeros(3)]), [0.0, 0.0, 1.0]])
+        X = np.column_stack([X, X[:, 1]])
+    tol = GeomTolerance(eps=0.25)
+    for P in (V, np.vstack([V, V.mean(axis=0)])):
+        assert hull_contains_exact(P, X, tol.eps) == [True, False]
+        assert convex_hull_contains_many(P, X, tol).tolist() == [True, False]
+
+
+def test_polygon_hull_memory_does_not_grow_with_queries():
+    """The 2-D rule takes its queries in chunks, so its peak memory does not grow with q.
+
+    100 points on a circle give 100 vertices and 102 candidate normals, a
+    chunk of 6 queries.  From q = 300 to 3000 the tracemalloc peak grows
+    by at most the 2700 bytes of the larger mask; one unchunked tensor of
+    (normals, queries, vertices) would add about 80 KB per query.
+    """
+    import tracemalloc
+
+    angle = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    cloud = np.column_stack([np.cos(angle), np.sin(angle)])
+    rng = np.random.default_rng(0)
+    peaks = {}
+    for q in (300, 3000):
+        X = rng.uniform(-1.5, 1.5, (q, 2))
+        tracemalloc.start()
+        try:
+            mask = convex_hull_contains_many(cloud, X)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {True, False} <= set(mask.tolist())
+    assert peaks[3000] <= peaks[300] + 2700
 
 
 def test_barycentric_centroid():
