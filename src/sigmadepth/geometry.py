@@ -35,8 +35,19 @@ DEFAULT_EPS = 1e-9
 PIVOT_RTOL = 1e-12
 # Added to eps by every hull rule, so a point on the hull's boundary passes despite rounding.
 HULL_SLACK = 1e-12
-# Threads for the containment kernel and 1-D pair counting's per-query rule: the cores this process may run on.
+# Threads for the kernel, the pair tables and 1-D pair counting's per-query rule: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Least work per thread, in (simplex, query) cells of a call for the kernel
+# and of a query chunk for the pair tables, for which they split (_split).  Two workers' time over one's, on a
+# shared 2-core host with numpy 2.4.6, over three to five sweeps: the kernel
+# on 20 000 triangles and 7 sigmas read 0.89-2.31 at 0.06 Mi cells per job
+# (q = 6), 0.64-1.29 at 0.34 Mi, 0.69-1.10 at 0.86 Mi and 0.58-0.79 at
+# 1.43 Mi (q = 150); the pair tables, per query chunk, read 0.77-1.27 at
+# 0.3-0.5 Mi, 0.81-1.06 at 0.77 Mi (n = 100, q = 10), 0.82-1.05 at 2.0 Mi
+# (n = 100, q = 30) and 0.68-0.69 at 2.9 Mi (n = 150, q = 30).  Below about
+# 1 Mi a split loses as often as it wins, and loses most when other
+# processes hold a core.
+_MIN_JOB_CELLS = 2**20
 # Cap on each buffer of the three counters, in elements: 512 KiB per float
 # buffer, so the kernel's working set stays in a 2 MiB L2 cache.  The pair
 # tables size their query chunk by it, _CHUNK_ELEMS // (widest rectangle),
@@ -419,11 +430,13 @@ class SimplexBatch:
     most _CHUNK_ELEMS elements, so memory does not grow with the number of
     queries, simplices, sigmas or the dimension.
 
-    The query chunks are split into one contiguous block per thread, at
-    most _WORKERS of them.  Per simplex chunk the calling thread computes
-    the thresholds once, and each thread runs the loop above over its
-    block, on its own columns of the integer counts, so the counts do not
-    depend on the split; a single query chunk runs on the calling thread.
+    The query chunks are split into one contiguous block per thread, as
+    many as _split allows: at most _WORKERS, each with at least
+    _MIN_JOB_CELLS (simplex, query) cells, so a short call runs on the
+    calling thread.  One pool serves every simplex chunk of a call.  Per
+    simplex chunk the calling thread computes the thresholds once, and
+    each thread runs the loop above over its block, on its own columns of
+    the integer counts, so the counts do not depend on the split.
     Each thread keeps buffers of the full _CHUNK_ELEMS: numpy releases the
     GIL only inside a call, and with smaller chunks the threads queue for
     it between short calls and run slower than one thread.  The buffers
@@ -469,7 +482,7 @@ class SimplexBatch:
             m_chunk = min(mg, _CHUNK_ELEMS)
             q_chunk = max(1, _CHUNK_ELEMS // m_chunk)
             chunks = math.ceil(q / q_chunk)
-            block = math.ceil(chunks / min(_WORKERS, chunks)) * q_chunk
+            block = math.ceil(chunks / _split(q * mg, chunks)) * q_chunk
             shape = (min(q, q_chunk), m_chunk)
             starts = range(0, q, block)
             blocks = [(s, [np.empty(shape) for _ in range(4)]) for s in starts]
@@ -489,11 +502,12 @@ class SimplexBatch:
                         np.minimum(low, val, out=low)
                     _add_hits(counts[:, qs : qs + r], low, thr, bufs[1])
 
-            for ms in range(0, mg, m_chunk):
-                lin = self._lin[:, :, ms : ms + m_chunk]
-                const = self._const[:, ms : ms + m_chunk]
-                thr = t[:, None] * self._absdet[ms : ms + m_chunk]
-                _on_threads(count_block, blocks)
+            with _Threads(len(blocks)) as run:
+                for ms in range(0, mg, m_chunk):
+                    lin = self._lin[:, :, ms : ms + m_chunk]
+                    const = self._const[:, ms : ms + m_chunk]
+                    thr = t[:, None] * self._absdet[ms : ms + m_chunk]
+                    run(count_block, blocks)
 
         _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts
@@ -533,23 +547,48 @@ def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigma
             counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, eps).sum(axis=0)
 
 
-def _on_threads(fn, jobs) -> None:
-    """fn(job) for every job, on min(_WORKERS, len(jobs)) threads, or on the calling thread if that is one.
+def _split(cells: int, jobs: int) -> int:
+    """Threads for cells (simplex, query) cells of work in at most jobs jobs: the most,
+    up to _WORKERS, that gives each at least _MIN_JOB_CELLS cells, and at least one."""
+    return max(1, min(_WORKERS, jobs, cells // _MIN_JOB_CELLS))
 
-    Leaving the pool joins every worker, and map re-raises a worker's
-    exception.  concurrent.futures is imported here, so start-up does not
-    pay for it.
+
+class _Threads:
+    """with _Threads(workers) as run: run(fn, jobs) calls fn(job) for every job
+    on workers threads, the calling thread one of them.
+
+    Thread k runs jobs k, k + workers, ...  One pool serves every run of
+    the block, and starts its workers - 1 threads at the first run.  A run
+    returns when every job is done and re-raises a worker's exception, and
+    leaving the block joins every thread.  concurrent.futures is imported
+    here, so start-up does not pay for it.
     """
-    workers = min(_WORKERS, len(jobs))
-    if workers < 2:
-        for job in jobs:
-            fn(job)
-        return
-    from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fn, jobs):
-            pass
+    def __init__(self, workers: int):
+        self._workers, self._pool = max(workers, 1), None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(workers - 1)
+
+    def __enter__(self):
+        return self._run
+
+    def _run(self, fn, jobs) -> None:
+        def share(k):
+            for job in jobs[k :: self._workers]:
+                fn(job)
+
+        others = [self._pool.submit(share, k) for k in range(1, self._workers)]
+        try:
+            share(0)
+        finally:
+            for future in others:
+                future.result()
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def _dot_into(X: np.ndarray, L: np.ndarray, out: np.ndarray, odd: np.ndarray, tmp: np.ndarray) -> None:
@@ -594,11 +633,26 @@ class TrianglePairTables:
     The pair map, |det| and sign(det) (9 bytes per triangle) and the
     singular triangles are built once, here.  A call takes its queries in
     chunks of c = _CHUNK_ELEMS // (the widest rectangle, about n^2/4), at
-    least one.  Per chunk it fills one table of c * n^2 values, summing
-    _dot_into's odd lane a piece at a time in a rectangle buffer, and then
-    counts each rectangle once for all c queries.  So the two rectangle
-    buffers hold at most _CHUNK_ELEMS elements each, or one rectangle when
-    n > 513, and the table about four times that, whatever q.
+    least one.  Per chunk the calling thread fills one table of c * n^2
+    values, summing _dot_into's odd lane a piece at a time in a rectangle
+    buffer, and then each rectangle is counted once for all c queries.
+
+    The middle vertices are split into contiguous ranges of about equal
+    triangle counts, one per thread, as many as _split allows for one
+    chunk's C(n, 3) * c cells: the threads join after every chunk, so that
+    is the work that has to pay for a split, and a short call runs on the
+    calling thread.  Once q fills a chunk the split, and so the memory,
+    no longer grows with q.
+    Each range counts its rectangles with its own buffers into its own
+    counts row, and the rows are summed after the join, so the counts do
+    not depend on the split.  The pool, buffers and rows are made once per
+    call.  Each thread has two rectangle buffers of at most _CHUNK_ELEMS
+    elements, or one rectangle when n > 513, and the table holds about
+    four times that, whatever q.  The first chunk's odd lane is summed in
+    a buffer of its own, freed before any thread starts, and the later
+    ones in the first range's buffer.  So a call's peak memory is reached
+    in that first fill, on the calling thread, and does not depend on how
+    the threads' numpy temporaries overlap, nor on the number of chunks.
     """
 
     def __init__(self, V: np.ndarray, eps: float = DEFAULT_EPS):
@@ -639,6 +693,18 @@ class TrianglePairTables:
     def n_degenerate(self) -> int:
         return len(self._degenerate_verts)
 
+    def _fill(self, Xc: np.ndarray, T0: np.ndarray, widest: int, odd=None) -> np.ndarray:
+        """T0 (c, n * n) = the pair map at the queries Xc (c, 2, 1), widest columns at a time,
+        summing _dot_into's odd lane in odd (c * widest elements), or in a new buffer if None."""
+        if odd is None:
+            odd = np.empty(len(Xc) * widest)
+        for s in range(0, self.n**2, widest):
+            out = T0[:, s : s + widest]
+            lane = odd[: out.size].reshape(out.shape)
+            _dot_into(Xc, self._lin[:, s : s + widest], out, lane, lane)  # tmp is used for d > 2 only
+            out += self._const[s : s + widest]
+        return T0
+
     def contains_counts(self, X: np.ndarray, sigmas) -> np.ndarray:
         """(len(sigmas), q) counts: triangles whose sigma-dilation contains each row of X (q, 2)."""
         X = np.asarray(X, dtype=float)
@@ -652,19 +718,25 @@ class TrianglePairTables:
             q_chunk = max(1, _CHUNK_ELEMS // widest)
             qc = min(q, q_chunk)
             table = np.empty((qc, n * n))
-            low_buf, val_buf, sign_buf = np.empty(qc * widest), np.empty(qc * widest), np.empty(widest)
-            for qs in range(0, q, q_chunk):
-                Xc = X[qs : qs + q_chunk, :, None]
-                c = len(Xc)
-                T0 = table[:c]
-                for s in range(0, n * n, widest):
-                    out = T0[:, s : s + widest]
-                    odd = low_buf[: out.size].reshape(out.shape)
-                    _dot_into(Xc, self._lin[:, s : s + widest], out, odd, odd)  # tmp is used for d > 2 only
-                    out += self._const[s : s + widest]
-                T0 = T0.reshape(c, n, n)
-                for j, absdet, sign8 in zip(range(1, n - 1), self._absdets, self._signs):
-                    low, val = (b[: c * absdet.size].reshape(c, *absdet.shape) for b in (low_buf, val_buf))
+            # contiguous ranges of middle vertices with about equal triangle counts
+            upto = np.cumsum([x.size for x in self._absdets])  # the triangles of middle vertices 1 .. j
+            workers = _split(int(upto[-1]) * qc, n - 2)
+            cuts = [0, *np.searchsorted(upto, upto[-1] * np.arange(1, workers) / workers, side="right"), n - 2]
+            # per job: its low, val and sign buffers and its counts row
+            jobs = [
+                (a, b, np.empty(qc * widest), np.empty(qc * widest), np.empty(widest), np.empty((len(t), qc), np.int64))
+                for a, b in zip(cuts, cuts[1:])
+                if a < b
+            ]
+
+            def count_range(job):
+                """The rectangles of middle vertices a + 1 .. b into the job's counts row."""
+                a, b, low_buf, val_buf, sign_buf, hits = job
+                hits = hits[:, :c]
+                hits.fill(0)
+                for j in range(a + 1, b + 1):
+                    absdet, sign8 = self._absdets[j - 1], self._signs[j - 1]
+                    low, val = (x[: c * absdet.size].reshape(c, *absdet.shape) for x in (low_buf, val_buf))
                     # float signs: one cast per pass beats three mixed-type multiplies
                     sign = sign_buf[: absdet.size].reshape(absdet.shape)
                     np.copyto(sign, sign8)
@@ -676,7 +748,17 @@ class TrianglePairTables:
                     np.minimum(low, val, out=low)
                     np.multiply(T0[:, :j, j, None], sign, out=val)
                     np.minimum(low, val, out=low)
-                    _add_hits(counts[:, qs : qs + c], low, np.multiply.outer(t, absdet), val_buf)
+                    _add_hits(hits, low, np.multiply.outer(t, absdet), val_buf)
+
+            with _Threads(len(jobs)) as run:
+                for qs in range(0, q, q_chunk):
+                    Xc = X[qs : qs + q_chunk, :, None]
+                    c = len(Xc)
+                    # the first chunk's odd lane gets a buffer of its own, freed before any thread
+                    # starts, so the call peaks there; later chunks use job 0's low buffer
+                    T0 = self._fill(Xc, table[:c], widest, jobs[0][2] if qs else None).reshape(c, n, n)
+                    run(count_range, jobs)
+                    counts[:, qs : qs + c] = sum(job[-1][:, :c] for job in jobs)
 
         _add_hull_counts(counts, self._degenerate_verts, X, sigmas, self.eps)
         return counts
@@ -799,7 +881,9 @@ def _count_pairs_1d_per_query(values: np.ndarray, queries: np.ndarray, sigmas, e
                 fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
             counts[s : s + step, k] = strict_total - fail_l - fail_r + flat[s : s + step]
 
-    _on_threads(count_chunk, range(0, len(x), step))
+    chunks = range(0, len(x), step)
+    with _Threads(min(_WORKERS, len(chunks))) as run:
+        run(count_chunk, chunks)
     return counts
 
 

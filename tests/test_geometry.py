@@ -14,6 +14,7 @@ from sigmadepth.errors import InputError
 from sigmadepth.geometry import (
     GeomTolerance,
     SimplexBatch,
+    TrianglePairTables,
     barycentric_coordinates,
     convex_hull_contains,
     convex_hull_contains_many,
@@ -21,6 +22,7 @@ from sigmadepth.geometry import (
     enlarge_simplex,
     simplex_contains,
 )
+from sigmadepth.sigma import sample_sigma_blocks
 
 from oracle import hull_contains_exact, hull_distances_exact
 
@@ -567,13 +569,21 @@ def _parity_data(kind, d, rng):
     return rng.standard_normal((n, d))
 
 
-def _parity_case(kind, d):
+def _parity_points(kind, d):
+    """The data points and the queries: three far points, the midpoints of neighbours, the data points."""
     rng = np.random.default_rng([d, len(kind)])
     P = _parity_data(kind, d, rng)
-    combos = np.array(list(itertools.combinations(range(len(P)), d + 1)))
     far = P[:3] + 10.0 * (P.max(axis=0) - P.min(axis=0) + 1.0)
-    X = np.vstack([far, (P[:-1] + P[1:]) / 2, P])
-    return P[combos], X
+    return P, np.vstack([far, (P[:-1] + P[1:]) / 2, P])
+
+
+def _parity_case(kind, d):
+    P, X = _parity_points(kind, d)
+    return _all_simplices(P), X
+
+
+def _all_simplices(P):
+    return P[np.array(list(itertools.combinations(range(len(P)), P.shape[1] + 1)))]
 
 
 # Unsorted, with a repeat and shrinking factors below 1; more than 8, so the kernel compares them in two groups.
@@ -619,6 +629,7 @@ def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
     cover q = 0, q = 1, one query chunk, more query chunks than workers and
     a ragged last block, and no thread outlives a call.
     """
+    monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)  # split every call, however small
     default = geometry._CHUNK_ELEMS
     # q 0, q 1, one query chunk, chunks > workers, ragged last block, several simplex chunks, degenerate members
     hit = np.zeros(7, dtype=bool)
@@ -656,6 +667,7 @@ def test_simplex_batch_threads_keep_their_counts_under_stress(monkeypatch):
     rng = np.random.default_rng(17)
     batch = SimplexBatch(rng.standard_normal((2000, 3, 2)))
     X = rng.standard_normal((600, 2))
+    monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)  # 150 000 cells per worker would not split
     monkeypatch.setattr(geometry, "_WORKERS", 1)
     want = batch.contains_counts(X, PARITY_SIGMAS)
     monkeypatch.setattr(geometry, "_WORKERS", 8)
@@ -666,6 +678,100 @@ def test_simplex_batch_threads_keep_their_counts_under_stress(monkeypatch):
             assert np.array_equal(batch.contains_counts(X, PARITY_SIGMAS), want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _recorded_threads(monkeypatch):
+    """The worker count of every geometry._Threads block, in order."""
+    made = []
+
+    class Recorded(geometry._Threads):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(geometry, "_Threads", Recorded)
+    return made
+
+
+def test_pair_table_counts_are_the_same_on_any_worker_count(monkeypatch):
+    """Middle vertices split over threads give the one-thread kernel's counts for a whole sigma grid.
+
+    Grid points, whose triangles include degenerate ones, are counted on
+    1, 2, 3 and 8 workers with every call split, at the default chunk cap
+    and at 7 queries per chunk, where 30 queries end in a ragged chunk of
+    2.  The cases cover q = 0, q = 1, fewer middle vertices than workers
+    and n < 3, and no thread outlives a call.
+    """
+    monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)
+    made = _recorded_threads(monkeypatch)
+    default = geometry._CHUNK_ELEMS
+    P, X = _parity_points("grid", 2)
+    hit = np.zeros(6, dtype=bool)  # q 0, q 1, ragged last chunk, n < 3, fewer middle vertices than workers, degenerate
+    for n in (len(P), 4, 3, 2):
+        tables = TrianglePairTables(P[:n])
+        if n >= 3:
+            monkeypatch.setattr(geometry, "_CHUNK_ELEMS", default)
+            monkeypatch.setattr(geometry, "_WORKERS", 1)
+            want = SimplexBatch(_all_simplices(P[:n])).contains_counts(X, PARITY_SIGMAS)
+        else:
+            want = np.zeros((len(PARITY_SIGMAS), len(X)), dtype=np.int64)
+        widest = max((a.size for a in tables._absdets), default=1)
+        for cap in (default, 7 * widest):
+            monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(geometry, "_WORKERS", workers)
+                for q in (0, 1, len(X)):
+                    made.clear()
+                    threads = threading.active_count()
+                    got = tables.contains_counts(X[:q], PARITY_SIGMAS)
+                    assert threading.active_count() == threads
+                    assert np.array_equal(got, want[:, :q]), (n, cap, workers, q)
+                    if q and n >= 3:
+                        assert made == [min(workers, n - 2)]
+                    hit |= [q == 0, q == 1, q % (cap // widest) > 0 and q > cap // widest, n < 3, n - 2 < workers, tables.n_degenerate > 0]
+    assert hit.all()
+
+
+def test_pair_table_threads_keep_their_counts_under_stress(monkeypatch):
+    """Eight workers over the middle vertices, switching threads every microsecond, count as one does."""
+    rng = np.random.default_rng(19)
+    tables = TrianglePairTables(rng.standard_normal((60, 2)))
+    X = rng.standard_normal((200, 2))
+    monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    want = tables.contains_counts(X, PARITY_SIGMAS)
+    monkeypatch.setattr(geometry, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(tables.contains_counts(X, PARITY_SIGMAS), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_counters_split_only_calls_above_the_work_floor(monkeypatch):
+    """On two cores, the benchmark's short 2-D calls stay on the calling thread and its long ones split.
+
+    One thread: a ties2d class (40 points, 6 queries) and the 50-point
+    block transform of exact2d_stream (30 queries).  Two threads: the
+    exact2d_stream count (150 points, 30 queries) and the kernel call of
+    a sim1_mc2d class (150 queries against 20 000 triangles).
+    """
+    monkeypatch.setattr(geometry, "_WORKERS", 2)
+    made = _recorded_threads(monkeypatch)
+    rng = np.random.default_rng(41)
+    cloud = rng.standard_normal((150, 2))
+    calls = [
+        (TrianglePairTables(rng.standard_normal((40, 2))), 6, 1),
+        (TrianglePairTables(sample_sigma_blocks(cloud, 2.0)), 30, 1),
+        (TrianglePairTables(cloud), 30, 2),
+        (SimplexBatch(rng.standard_normal((20_000, 3, 2))), 150, 2),
+    ]
+    for counter, q, workers in calls:
+        made.clear()
+        counter.contains_counts(rng.standard_normal((q, 2)), [1.0, 2.0])
+        assert made == [workers], (type(counter).__name__, q)
 
 
 def test_tolerance_validation():
