@@ -773,9 +773,13 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     hull fallback of the barycentric counters.
 
     Per sigma the ends of the P ~ n^2/2 pairs of distinct values are
-    sorted, and a query's count is #(A <= x) - #(B < x) plus its flat
-    pairs: O(P log P + q log P) per sigma, on the calling thread, with the
-    pairs built in chunks of _CHUNK_ELEMS.  The counts are byte-identical
+    formed in chunks of _CHUNK_ELEMS pairs, in buffers made once per call.
+    Ends below every query's window are counted, ends inside the queries'
+    span are sorted, and ends above it drop out; a query's count is
+    #(A <= x) - #(B < x) plus its flat pairs: O(P + P_in log P_in +
+    q log P_in) per sigma, P_in the ends inside the span, on the calling
+    thread.  Queries in the gap between two clusters, as in scenario 4,
+    sort about a quarter of the ends.  The counts are byte-identical
     to _count_pairs_1d_per_query's, whose thresholds round differently:
     a query within delta = 8 * 2^-52 * (|x| + (u + |t|) * max|v|) of a
     computed end is recounted by that rule at that sigma.  Derivation,
@@ -789,11 +793,14 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     queries one ulp from an end change count.
 
     Cost rule: calls with 2q < n take the per-query rule, whose
-    O(q n log n) searches run on every core.  On two cores, with n = 200
-    to 2000 and 1 to 21 sigmas, the sorted ends took 0.9-1.9 times as long
-    at q = n/4 and 0.6-1.1 times at q = n/2; below n = 100 they win from
-    q = n/8.  So A7's two queries against 10 000 values never sort the
-    50 M ends.
+    O(q n log n) searches run on every core.  The sorted ends' time over
+    the per-query rule's, on two shared cores with numpy 2.4.6, at
+    n = 200 / 1000 / 2000 and 21 sigmas: queries in a gap 0.58 / 1.24 /
+    0.98 at q = n/8, 0.39 / 0.81 / 0.66 at n/4 and 0.25 / 0.29 / 0.42 at
+    n/2; Gaussian queries over Gaussian data 1.44 / 2.88 / 3.11,
+    1.25 / 1.62 / 1.69 and 0.86 / 0.90 / 0.84.  At 1 sigma they read
+    0.3-7.0 below n/2 and 0.69-1.52 at n/2.  So A7's two queries against
+    10 000 values never sort the 50 M ends.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     x = np.asarray(queries, dtype=float).ravel()
@@ -814,18 +821,29 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     pairs = int(first.sum())
     hits = np.zeros((len(ts), q), dtype=np.int64)
     edge = np.zeros((len(ts), q), dtype=bool)  # within delta of an end in some chunk
+    width = min(pairs, _CHUNK_ELEMS)
+    floats, flags = np.empty((2, width)), np.empty((2, width), dtype=bool)
     for p0 in range(0, pairs, _CHUNK_ELEMS):
         p = np.arange(p0, min(p0 + _CHUNK_ELEMS, pairs))
         j = np.searchsorted(last, p, side="right")
         a, b = v[p - last[j] + first[j]], v[j]
+        (ends, term), (kept, inside) = floats[:, : len(p)], flags[:, : len(p)]
         for k, t in enumerate(ts):
             u = 1.0 - t
             lo, hi = xs - (window + reach[k]), xs + (window + reach[k])
-            for ends, sign in ((u * a + t * b, 1), (u * b + t * a, -1)):
-                ends.sort()
-                below = np.searchsorted(ends, lo, side="left")
-                hits[k] += sign * below
-                edge[k] |= below != np.searchsorted(ends, hi, side="right")
+            # An end below lo0 is below every query's window and one above
+            # hi1 is in none: count the first, drop the second, and sort only
+            # the span [lo0, hi1], in place when nothing drops out.
+            lo0, hi1 = lo.min(), hi.max()
+            for near, far, sign in ((a, b, 1), (b, a, -1)):
+                np.add(np.multiply(near, u, out=ends), np.multiply(far, t, out=term), out=ends)
+                np.greater_equal(ends, lo0, out=kept)
+                np.logical_and(kept, np.less_equal(ends, hi1, out=inside), out=inside)
+                span = ends if np.count_nonzero(inside) == len(p) else ends[inside]
+                span.sort()
+                below = np.searchsorted(span, lo, side="left")
+                hits[k] += sign * (below + (len(p) - np.count_nonzero(kept)))
+                edge[k] |= below != np.searchsorted(span, hi, side="right")
 
     hits += _flat_counts(v, xs, eps)
 

@@ -240,25 +240,34 @@ class ResultTable:
         return json.dumps({"rows": self._records()}, indent=1)
 
     def _records(self) -> list:
-        """One dict per row: the CSV columns, then the JSON-only statistics."""
-        return [
-            {
-                "scenario": r.scenario,
-                "setting": r.setting,
-                "sigma_or_delta": float(r.sigma_or_delta),
-                "mean": r.mean,
-                "sd": r.sd,
-                "outsider_mean": r.outsider_mean,
-                "outsider_sd": r.outsider_sd,
-                "reps": r.reps,
-                "median": r.median,
-                "q25": r.quantile(0.25),
-                "q75": r.quantile(0.75),
-                "rates": [float(v) for v in r.rates],
-                "outsider_rates": [float(v) for v in r.outsider_rates],
-            }
-            for r in self.rows
-        ]
+        """One dict per row: the CSV columns, then the JSON-only statistics.
+
+        The same numbers as the row's properties, each statistic computed once.
+        """
+        records = []
+        for r in self.rows:
+            mean, sd = _agg(r.rates)
+            outsider_mean, outsider_sd = _agg(r.outsider_rates)
+            median = _nan_stat(np.nanmedian, r.rates)  # not a 0.5 quantile: that can round differently
+            q25, q75 = (median,) * 2 if math.isnan(median) else np.nanpercentile(r.rates, [25.0, 75.0]).tolist()
+            records.append(
+                {
+                    "scenario": r.scenario,
+                    "setting": r.setting,
+                    "sigma_or_delta": float(r.sigma_or_delta),
+                    "mean": mean,
+                    "sd": sd,
+                    "outsider_mean": outsider_mean,
+                    "outsider_sd": outsider_sd,
+                    "reps": r.reps,
+                    "median": median,
+                    "q25": q25,
+                    "q75": q75,
+                    "rates": [float(v) for v in r.rates],
+                    "outsider_rates": [float(v) for v in r.outsider_rates],
+                }
+            )
+        return records
 
 
 def default_config(scenario: int, **overrides) -> ScenarioConfig:

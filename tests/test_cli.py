@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sigmadepth import cli
 from sigmadepth.cli import main, read_points_csv
 from sigmadepth.errors import InputError
 from sigmadepth.sim import default_config, run_scenario
@@ -216,6 +217,46 @@ def test_flags_a_subcommand_never_reads_are_rejected(argv):
     with pytest.raises(SystemExit) as err:
         main(argv.split())
     assert err.value.code == 2
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    """classify, depth, classify and a bad flag in one process: one parser, and each
+    call's exit code, output files, sidecars and echoes are those of a fresh call."""
+    rng = np.random.default_rng(4)
+    write_csv(tmp_path / "t1.csv", rng.standard_normal((12, 2)))
+    write_csv(tmp_path / "t2.csv", rng.standard_normal((12, 2)) + 3.0)
+    write_csv(tmp_path / "q.csv", 2.0 * rng.standard_normal((5, 2)))
+    t1, t2, q = (str(tmp_path / f) for f in ("t1.csv", "t2.csv", "q.csv"))
+    classify = ["classify", "--train1", t1, "--train2", t2, "--test", q, "--out", str(tmp_path / "pred.csv")]
+    depth = ["depth", "--data", t1, "--query", q, "--approx", "200", "--seed", "3", "--out", str(tmp_path / "d.csv")]
+    calls = [classify, depth, ["classify", "--train1", t1, "--train2", t2, "--test", q], ["depth", "--bogus", "1"]]
+    inputs = {"t1.csv", "t2.csv", "q.csv"}
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in inputs}
+        for name in written:
+            (tmp_path / name).unlink()
+        captured = capsys.readouterr()
+        return code, written, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 0, 2]
+    assert sorted(fresh[0][1]) == ["pred.csv", "pred.csv.config.json"]
+    assert sorted(fresh[1][1]) == ["d.csv", "d.csv.config.json"]
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv) for argv in calls] == fresh
+    assert len(built) == 1
 
 
 def test_classify_command(tmp_path):

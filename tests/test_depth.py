@@ -732,6 +732,99 @@ def test_count_pairs_1d_sorted_ends_match_per_query_rule(kind, cap, monkeypatch)
     assert cap > 24 or (np.searchsorted(s, s).sum() > 2 * cap and most_chunks > 1)
 
 
+def _sorted_end_rule(v, X, sigmas, eps):
+    """Per sigma: every pair end, and each query's knife-edge window [lo, hi] as the counter computes it."""
+    s = np.sort(v)
+    first = np.searchsorted(s, s, side="left")
+    j = np.repeat(np.arange(len(s)), first)  # pairs of distinct values in the counter's (j, i) order
+    i = np.concatenate([np.arange(f) for f in first])
+    for t in geometry._thresholds(np.asarray(sigmas, dtype=float), 1, eps):
+        u = 1.0 - t
+        reach = 8 * 2.0**-52 * np.abs(s).max() * (1.0 - t + abs(t))
+        half = 8 * 2.0**-52 * np.abs(X) + reach
+        yield t, np.concatenate([u * s[i] + t * s[j], u * s[j] + t * s[i]]), X - half, X + half
+
+
+def _query_whose_window_ends_at(end, t, v, side):
+    """A query whose window's top (side +1) or bottom (side -1) is exactly the float end, or None."""
+    reach = 8 * 2.0**-52 * np.abs(v).max() * (1.0 - t + abs(t))
+    x = end - side * (8 * 2.0**-52 * abs(end) + reach)
+    for _ in range(8):
+        x = np.nextafter(x, -side * np.inf)
+    for _ in range(16):
+        if x + side * (8 * 2.0**-52 * abs(x) + reach) == end:
+            return x
+        x = np.nextafter(x, side * np.inf)
+    return None
+
+
+@pytest.mark.parametrize("cap", [geometry._CHUNK_ELEMS, 24])
+def test_count_pairs_1d_span_matches_per_query_rule(cap, monkeypatch):
+    """Sorting only the ends inside the queries' span keeps the per-query rule's counts and recounts.
+
+    Two clusters of grid values with ties; the queries lie all left of
+    them, all right, in the gap between them (scenario 4's shape) and in a
+    narrow window inside one.  Each set also holds the pair ends inside its
+    range with their float neighbours and repeated queries; the last two
+    sets also hold, per sigma, a query whose window ends exactly on the
+    nearest pair end outside the range, so one end lies on the span's edge.  Besides the counts, the
+    queries and sigmas sent back to the per-query rule must be those whose
+    window holds an end of the full, unfiltered end list.
+    """
+    rng = np.random.default_rng(11)
+    v = np.concatenate([rng.integers(-16, -7, 13), rng.integers(8, 17, 13)]) / 8.0
+    sigmas = np.array([0.5, 1.0, 1.0 + 1e-12, 2.0, 6.0])
+    rule = geometry._count_pairs_1d_per_query
+    recounts = []
+
+    def spy(values, queries, sig, eps):
+        recounts.append((queries, sig))
+        return rule(values, queries, sig, eps)
+
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMS", cap)
+    monkeypatch.setattr(geometry, "_count_pairs_1d_per_query", spy)
+    seen = np.zeros(4, dtype=bool)  # edge query at the top, at the bottom; a chunk with no end in span, one on both sides
+    for left, right, edges in ((-30.0, -3.0, False), (3.0, 30.0, False), (-0.8, 0.9, True), (1.4, 1.45, True)):
+        for eps in (0.0, 1e-9):
+            X = np.linspace(left, right, 20)
+            for t, ends, _, _ in _sorted_end_rule(v, X, sigmas, eps):
+                ends = np.unique(ends)
+                inside = ends[(ends >= left) & (ends <= right)]
+                X = np.concatenate([X, inside, np.nextafter(inside, -np.inf), np.nextafter(inside, np.inf)])
+                for side, out in ((1, ends[ends > right + 1e-3]), (-1, ends[ends < left - 1e-3])) if edges else ():
+                    x = None if out.size == 0 else _query_whose_window_ends_at(out.min() if side > 0 else out.max(), t, v, side)
+                    if x is not None:
+                        X = np.append(X, x)
+                        seen[0 if side > 0 else 1] = True
+            X = rng.permutation(np.concatenate([X, X[:5]]))
+            assert 2 * len(X) >= len(v)  # the sorted path
+
+            want = rule(v, X, sigmas, eps)
+            recounts.clear()
+            got = _count_pairs_1d(v, X, sigmas, eps)
+            assert np.array_equal(got, want), (left, right, eps)
+
+            flagged = []
+            for _, ends, lo, hi in _sorted_end_rule(v, np.sort(X), sigmas, eps):
+                chunk = np.tile(np.arange(len(ends) // 2) // cap, 2)
+                ends_sorted = np.sort(ends)
+                flagged.append(np.searchsorted(ends_sorted, lo, "left") != np.searchsorted(ends_sorted, hi, "right"))
+                span = (ends >= lo.min()) & (ends <= hi.max())
+                for c in range(chunk.max() + 1):
+                    mine = chunk == c
+                    seen[2] |= not span[mine].any()
+                    seen[3] |= (ends[mine] < lo.min()).any() and (ends[mine] > hi.max()).any()
+            flagged = np.array(flagged)
+            rows, cols = flagged.any(axis=0), flagged.any(axis=1)
+            if rows.any():
+                assert len(recounts) == 1
+                assert np.array_equal(recounts[0][0], np.sort(X)[rows]), (left, right, eps)
+                assert np.array_equal(recounts[0][1], sigmas[cols]), (left, right, eps)
+            else:
+                assert recounts == []
+    assert seen.all(), seen
+
+
 def test_count_pairs_1d_cost_rule_edges(monkeypatch):
     """Calls with 2q < n take the per-query rule and the rest sorted pair ends, both with the loop's counts.
 

@@ -233,6 +233,22 @@ def test_all_nan_row_aggregates_to_nan_without_warnings():
     assert math.isnan(json.loads(ResultTable([row]).to_json())["rows"][0]["q75"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_json_statistics_are_the_row_properties():
+    """Each JSON row's statistics are the same doubles as its row's properties, NaN rows included."""
+    rng = np.random.default_rng(8)
+    rows = []
+    for reps in (1, 2, 7, 40):
+        rates = rng.integers(0, 30, reps) / 29
+        orates = np.where(rng.random(reps) < 0.3, np.nan, rng.random(reps))
+        rows.append(ResultRow(4, "s", float(reps), rates, orates))
+    rows.append(ResultRow(3, "t", 1.0, np.array([np.nan, np.nan]), np.array([np.nan, 0.5])))
+    for row, rec in zip(rows, json.loads(ResultTable(rows).to_json())["rows"]):
+        want = [row.mean, row.sd, row.outsider_mean, row.outsider_sd, row.median, row.quantile(0.25), row.quantile(0.75)]
+        got = [rec[k] for k in ("mean", "sd", "outsider_mean", "outsider_sd", "median", "q25", "q75")]
+        assert np.array_equal(got, want, equal_nan=True), row.sigma_or_delta
+
+
 def test_scenario_tables_are_reproducible():
     cfg = default_config(
         4, n_train=30, n_test=60, reps=3, sigma_grid=(1.0, 3.0)
