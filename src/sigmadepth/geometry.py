@@ -1,7 +1,8 @@
 """Point-in-simplex predicates, simplex enlargement, hull membership, and
 the three containment counters: count_pairs_1d, TrianglePairTables and
-SimplexBatch, which share one chunk cap, one threshold t(sigma) and, in
-the two barycentric ones, one compare-and-count (_add_hits).
+SimplexBatch, which share one chunk cap and one threshold t(sigma).  The
+two barycentric ones also share one compare-and-count (_add_hits) and
+one thread rule (_ranges); 1-D pair counting runs on the calling thread.
 
 Simplices are float arrays of shape (d+1, d): one vertex per row.  Points
 are 1-D arrays of length d.  Containment is tested on the closed simplex
@@ -35,10 +36,10 @@ DEFAULT_EPS = 1e-9
 PIVOT_RTOL = 1e-12
 # Added to eps by every hull rule, so a point on the hull's boundary passes despite rounding.
 HULL_SLACK = 1e-12
-# Threads for the kernel, the pair tables and 1-D pair counting's per-query rule: the cores this process may run on.
+# Threads for the kernel and the pair tables: the cores this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Least work per thread, in (simplex, query) cells of a call for the kernel
-# and of a query chunk for the pair tables, for which they split (_split).  Two workers' time over one's, on a
+# and of a query chunk for the pair tables, for which they split (_ranges).  Two workers' time over one's, on a
 # shared 2-core host with numpy 2.4.6, over three to five sweeps: the kernel
 # on 20 000 triangles and 7 sigmas read 0.89-2.31 at 0.06 Mi cells per job
 # (q = 6), 0.64-1.29 at 0.34 Mi, 0.69-1.10 at 0.86 Mi and 0.58-0.79 at
@@ -430,8 +431,8 @@ class SimplexBatch:
     most _CHUNK_ELEMS elements, so memory does not grow with the number of
     queries, simplices, sigmas or the dimension.
 
-    The query chunks are split into one contiguous block per thread, as
-    many as _split allows: at most _WORKERS, each with at least
+    The query chunks are split into one contiguous block of whole chunks
+    per thread by _ranges: at most _WORKERS, each with at least
     _MIN_JOB_CELLS (simplex, query) cells, so a short call runs on the
     calling thread.  One pool serves every simplex chunk of a call.  Per
     simplex chunk the calling thread computes the thresholds once, and
@@ -481,16 +482,15 @@ class SimplexBatch:
         if mg and q:
             m_chunk = min(mg, _CHUNK_ELEMS)
             q_chunk = max(1, _CHUNK_ELEMS // m_chunk)
-            chunks = math.ceil(q / q_chunk)
-            block = math.ceil(chunks / _split(q * mg, chunks)) * q_chunk
+            starts = range(0, q, q_chunk)
             shape = (min(q, q_chunk), m_chunk)
-            starts = range(0, q, block)
-            blocks = [(s, [np.empty(shape) for _ in range(4)]) for s in starts]
+            ranges = _ranges([min(q_chunk, q - s) * mg for s in starts])
+            blocks = [(starts[a:b], [np.empty(shape) for _ in range(4)]) for a, b in ranges]
 
             def count_block(job):
                 """The query chunks of one block against the simplex chunk of lin, const and thr."""
-                start, bufs = job
-                for qs in range(start, min(start + block, q), q_chunk):
+                chunks, bufs = job
+                for qs in chunks:
                     Xc = X[qs : qs + q_chunk, :, None]
                     r, w = len(Xc), thr.shape[1]
                     low, val, odd, term = (b[:r, :w] for b in bufs)
@@ -547,25 +547,30 @@ def _add_hull_counts(counts: np.ndarray, verts: np.ndarray, X: np.ndarray, sigma
             counts[k] += _hulls_contain(enlarge_batch(dv, sigma), X, eps).sum(axis=0)
 
 
-def _split(cells: int, jobs: int) -> int:
-    """Threads for cells (simplex, query) cells of work in at most jobs jobs: the most,
-    up to _WORKERS, that gives each at least _MIN_JOB_CELLS cells, and at least one."""
-    return max(1, min(_WORKERS, jobs, cells // _MIN_JOB_CELLS))
+def _ranges(work) -> list:
+    """Contiguous (start, stop) ranges over the units whose work in (simplex, query) cells is work[i],
+    one per thread, of about equal work: the most, up to _WORKERS, that give each range at least
+    _MIN_JOB_CELLS cells, and at least one.  Range k ends after the last unit whose running total
+    is at most k/r of the whole, for r ranges, and empty ranges are dropped."""
+    upto = np.cumsum(work)
+    r = max(1, min(_WORKERS, len(upto), int(upto[-1]) // _MIN_JOB_CELLS))
+    cuts = [0, *np.searchsorted(upto * r, upto[-1] * np.arange(1, r), side="right"), len(upto)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 class _Threads:
-    """with _Threads(workers) as run: run(fn, jobs) calls fn(job) for every job
-    on workers threads, the calling thread one of them.
+    """with _Threads(workers) as run: run(fn, jobs) calls fn(job) for at most
+    workers jobs, one per thread, the calling thread running jobs[0].
 
-    Thread k runs jobs k, k + workers, ...  One pool serves every run of
-    the block, and starts its workers - 1 threads at the first run.  A run
-    returns when every job is done and re-raises a worker's exception, and
-    leaving the block joins every thread.  concurrent.futures is imported
-    here, so start-up does not pay for it.
+    One pool serves every run of the block, and starts its workers - 1
+    threads at the first run.  A run returns when every job is done and
+    re-raises a worker's exception, and leaving the block joins every
+    thread.  concurrent.futures is imported here, so start-up does not pay
+    for it.
     """
 
     def __init__(self, workers: int):
-        self._workers, self._pool = max(workers, 1), None
+        self._pool = None
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -575,13 +580,9 @@ class _Threads:
         return self._run
 
     def _run(self, fn, jobs) -> None:
-        def share(k):
-            for job in jobs[k :: self._workers]:
-                fn(job)
-
-        others = [self._pool.submit(share, k) for k in range(1, self._workers)]
+        others = [self._pool.submit(fn, job) for job in jobs[1:]]
         try:
-            share(0)
+            fn(jobs[0])
         finally:
             for future in others:
                 future.result()
@@ -638,8 +639,8 @@ class TrianglePairTables:
     buffer, and then each rectangle is counted once for all c queries.
 
     The middle vertices are split into contiguous ranges of about equal
-    triangle counts, one per thread, as many as _split allows for one
-    chunk's C(n, 3) * c cells: the threads join after every chunk, so that
+    triangle counts, one per thread, by _ranges over one chunk's
+    C(n, 3) * c cells: the threads join after every chunk, so that
     is the work that has to pay for a split, and a short call runs on the
     calling thread.  Once q fills a chunk the split, and so the memory,
     no longer grows with q.
@@ -718,15 +719,10 @@ class TrianglePairTables:
             q_chunk = max(1, _CHUNK_ELEMS // widest)
             qc = min(q, q_chunk)
             table = np.empty((qc, n * n))
-            # contiguous ranges of middle vertices with about equal triangle counts
-            upto = np.cumsum([x.size for x in self._absdets])  # the triangles of middle vertices 1 .. j
-            workers = _split(int(upto[-1]) * qc, n - 2)
-            cuts = [0, *np.searchsorted(upto, upto[-1] * np.arange(1, workers) / workers, side="right"), n - 2]
-            # per job: its low, val and sign buffers and its counts row
+            # per range of middle vertices: its low, val and sign buffers and its counts row
             jobs = [
                 (a, b, np.empty(qc * widest), np.empty(qc * widest), np.empty(widest), np.empty((len(t), qc), np.int64))
-                for a, b in zip(cuts, cuts[1:])
-                if a < b
+                for a, b in _ranges([x.size * qc for x in self._absdets])
             ]
 
             def count_range(job):
@@ -792,15 +788,16 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     A <= x <= B, and delta is at least three times that.  With delta = 0,
     queries one ulp from an end change count.
 
-    Cost rule: calls with 2q < n take the per-query rule, whose
-    O(q n log n) searches run on every core.  The sorted ends' time over
-    the per-query rule's, on two shared cores with numpy 2.4.6, at
-    n = 200 / 1000 / 2000 and 21 sigmas: queries in a gap 0.58 / 1.24 /
-    0.98 at q = n/8, 0.39 / 0.81 / 0.66 at n/4 and 0.25 / 0.29 / 0.42 at
-    n/2; Gaussian queries over Gaussian data 1.44 / 2.88 / 3.11,
-    1.25 / 1.62 / 1.69 and 0.86 / 0.90 / 0.84.  At 1 sigma they read
-    0.3-7.0 below n/2 and 0.69-1.52 at n/2.  So A7's two queries against
-    10 000 values never sort the 50 M ends.
+    Cost rule: calls with 2q < n take the per-query rule.  The sorted
+    ends' time over that rule's, both on one thread of a shared 2-core
+    host with numpy 2.4.6, at n = 200 / 1000 / 2000 / 10 000 and 21
+    sigmas: queries in the gap between two clusters 0.87 / 0.90 / 0.92 /
+    0.79 at q = n/8, 0.47 / 0.42 / 0.42 / 0.50 at n/4 and 0.25 / 0.23 /
+    0.25 / 0.31 at n/2; Gaussian queries over Gaussian data 1.26 / 1.47 /
+    1.28 / 1.57, 0.65 / 0.74 / 0.74 / 0.77 and 0.38 / 0.42 / 0.43 / 0.55.
+    At 1 sigma they read 2.6-3.6 at n/8, 1.3-2.3 at n/4 and 0.72-1.18 at
+    n/2, and at q = 2 3.6-1100 for either count of sigmas.  So A7's two
+    queries against 10 000 values never sort the 50 M ends.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     x = np.asarray(queries, dtype=float).ravel()
@@ -848,8 +845,8 @@ def count_pairs_1d(values: np.ndarray, queries: np.ndarray, sigmas, eps: float):
     hits += _flat_counts(v, xs, eps)
 
     # One call recounts the flagged queries at the flagged sigmas, so one
-    # thread pool and one flat-pair pass serve them all.  A cell flagged at
-    # neither gets its count again: away from the ends both rules agree.
+    # flat-pair pass serves them all.  A cell flagged at neither gets its
+    # count again: away from the ends both rules agree.
     rows, cols = edge.any(axis=0), edge.any(axis=1)
     if rows.any():
         hits[np.ix_(cols, rows)] = _count_pairs_1d_per_query(v, xs[rows], sigmas[cols], eps).T
@@ -864,9 +861,8 @@ def _count_pairs_1d_per_query(values: np.ndarray, queries: np.ndarray, sigmas, e
     O(q * n log n).  For a pair (a < b) and each query it decides
     a <= (x - t*b)/u for A <= x and the matching threshold in a for B < x.
     The queries go in chunks whose threshold buffers hold at most
-    _CHUNK_ELEMS elements, spread over the usable cores (numpy releases
-    the GIL in the searches); each chunk writes its own rows, so the counts
-    do not depend on the thread count.
+    _CHUNK_ELEMS elements, on the calling thread: two threads lost at
+    every short call measured and were level on long ones.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = len(v)
@@ -878,9 +874,8 @@ def _count_pairs_1d_per_query(values: np.ndarray, queries: np.ndarray, sigmas, e
 
     ts = _thresholds(np.asarray(sigmas, dtype=float).ravel(), 1, eps)
     counts = np.empty((len(x), len(ts)), dtype=np.int64)
-    step = max(1, min(_CHUNK_ELEMS // n, math.ceil(len(x) / _WORKERS)))
-
-    def count_chunk(s):
+    step = max(1, _CHUNK_ELEMS // n)
+    for s in range(0, len(x), step):
         xq = x[s : s + step, None]
         for k, t in enumerate(ts):
             u = 1.0 - t
@@ -898,10 +893,6 @@ def _count_pairs_1d_per_query(values: np.ndarray, queries: np.ndarray, sigmas, e
                 thr_r = (xq - u * v) / t
                 fail_r = np.minimum(np.searchsorted(v, thr_r, side="left"), first).sum(axis=1)
             counts[s : s + step, k] = strict_total - fail_l - fail_r + flat[s : s + step]
-
-    chunks = range(0, len(x), step)
-    with _Threads(min(_WORKERS, len(chunks))) as run:
-        run(count_chunk, chunks)
     return counts
 
 

@@ -640,7 +640,7 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
         for sigma in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0):
             for eps in (1e-9, 0.0):
                 X = _pair_count_queries(v, sigma, eps)
-                step = max(1, min(cap // n, math.ceil(len(X) / geometry._WORKERS)))
+                step = max(1, cap // n)
                 hit |= [step == 1, len(X) % step > 0, n > cap]
                 got = _count_pairs_1d(v, X, [sigma], eps)[:, 0]
                 assert np.array_equal(got, count_pairs_1d_loop(v, X, sigma, eps)), (n, sigma, eps)
@@ -649,18 +649,18 @@ def test_count_pairs_1d_matches_per_query_loop(kind, cap, monkeypatch):
 
 @pytest.mark.parametrize("kind", PAIR_COUNT_KINDS)
 def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
-    """Threaded 1-D pair counting gives the per-query loop's counts for a whole sigma grid.
+    """1-D pair counting gives the per-query loop's counts for a whole sigma grid on any worker count.
 
     One call counts sigmas 0.5 to 6 with eps 1e-9 and 0, so all three t
-    branches run, on 1, 2, 3 and 8 workers with the default chunk cap and,
-    for 5 values, a cap of 24.  The cases cover q = 0, q = 1, one query per
-    chunk, more chunks than workers and a ragged last chunk, and no thread
-    outlives a call.
+    branches run, on 1, 2, 3 and 8 workers with the default chunk cap and
+    a cap of 24, under which 13 values take one query per chunk.  The
+    cases cover q = 0, q = 1, one query per chunk, more chunks than
+    workers and a ragged last chunk, and no thread outlives a call.
     """
     sigmas = [0.5, 1.0, 1.5, 2.0, 3.0, 6.0]
     default = geometry._CHUNK_ELEMS
     hit = np.zeros(5, dtype=bool)  # q 0, q 1, one query per chunk, chunks > workers, ragged last chunk
-    for n, caps in ((13, [default]), (5, [default, 24])):
+    for n, caps in ((13, [default, 24]), (5, [default, 24])):
         v = _pair_count_corpus(kind)[-n:]
         for eps in (1e-9, 0.0):
             X = np.concatenate([_pair_count_queries(v, sigma, eps) for sigma in sigmas])
@@ -670,7 +670,7 @@ def test_count_pairs_1d_is_the_same_on_any_worker_count(kind, monkeypatch):
                 for workers in (1, 2, 3, 8):
                     monkeypatch.setattr(geometry, "_WORKERS", workers)
                     for q in (0, 1, 7, len(X)):
-                        step = max(1, min(cap // n, math.ceil(q / workers)))
+                        step = max(1, cap // n)
                         chunks = math.ceil(q / step)
                         ragged = chunks > 1 and q % step > 0
                         hit |= [q == 0, q == 1, chunks > step == 1, chunks > workers, ragged]

@@ -627,11 +627,13 @@ def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
     are counted on 1, 2, 3 and 8 workers, with the default chunk cap and a
     cap of 24, under which the simplices take several chunks.  The cases
     cover q = 0, q = 1, one query chunk, more query chunks than workers and
-    a ragged last block, and no thread outlives a call.
+    a split call whose last chunk is ragged; each call makes one thread
+    per block of whole query chunks, and no thread outlives a call.
     """
     monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)  # split every call, however small
+    made = _recorded_threads(monkeypatch)
     default = geometry._CHUNK_ELEMS
-    # q 0, q 1, one query chunk, chunks > workers, ragged last block, several simplex chunks, degenerate members
+    # q 0, q 1, one query chunk, chunks > workers, ragged last chunk of a split call, several simplex chunks, degenerate members
     hit = np.zeros(7, dtype=bool)
     for kind, d in (("grid", 2), ("decimal", 3)):
         verts, X = _parity_case(kind, d)
@@ -646,12 +648,17 @@ def test_simplex_batch_counts_are_the_same_on_any_worker_count(monkeypatch):
                     monkeypatch.setattr(geometry, "_WORKERS", workers)
                     for q in (0, 1, 7, len(X)):
                         chunks = math.ceil(q / q_chunk)
-                        block = math.ceil(chunks / max(1, min(workers, chunks))) * q_chunk
-                        ragged = q > block and q % block > 0
+                        r = max(1, min(workers, chunks))
+                        # block k ends after the last chunk whose running query count is at most k q / r
+                        cuts = sorted({0, chunks, *(min(k * q // (r * q_chunk), chunks - 1) for k in range(1, r))})
+                        sizes = np.diff(np.minimum(np.array(cuts) * q_chunk, q))  # queries per block
+                        ragged = len(sizes) > 1 and q % q_chunk > 0
                         hit |= [q == 0, q == 1, q > 1 and chunks == 1, chunks > workers > 1, ragged, mg > cap, m > mg]
+                        made.clear()
                         threads = threading.active_count()
                         got = batch.contains_counts(X[:q], PARITY_SIGMAS)
                         assert threading.active_count() == threads
+                        assert made == ([len(sizes)] if q and mg else []), (kind, m, cap, workers, q)
                         assert got.shape == (len(PARITY_SIGMAS), q)
                         assert np.array_equal(got, want[:, :q]), (kind, m, cap, workers, q)
     assert hit.all()
@@ -691,6 +698,38 @@ def _recorded_threads(monkeypatch):
 
     monkeypatch.setattr(geometry, "_Threads", Recorded)
     return made
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_ranges_split_units_into_contiguous_ranges_of_about_equal_work(workers, monkeypatch):
+    """The one splitter of the kernel and the pair tables.
+
+    Its ranges are contiguous, cover every unit in order and are never
+    empty; there are at most _WORKERS of them, one when the work is below
+    twice the floor, and as many as the floor allows when the units are
+    equal; no range holds more than the mean range's work plus the
+    largest unit.  The cases include equal units, one heavy unit first or
+    last, random units and the pair tables' rectangle sizes.
+    """
+    monkeypatch.setattr(geometry, "_WORKERS", workers)
+    rng = np.random.default_rng(workers)
+    cases = [[5], [1] * 3, [7] * 20, [1, 1, 1, 100], [100, 1, 1, 1], rng.integers(1, 50, 40).tolist()]
+    cases.append([j * (28 - j) for j in range(1, 28)])  # the middle vertices of 29 points
+    hit = np.zeros(3, dtype=bool)  # one range over several units, several ranges, an empty range dropped
+    for floor in (1, 10, 1000):
+        monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", floor)
+        for work in cases:
+            ranges = geometry._ranges(work)
+            total = sum(work)
+            most = max(1, min(workers, len(work), total // floor))
+            assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]], (work, ranges)
+            assert ranges[-1][1] == len(work) and all(a < b for a, b in ranges), (work, ranges)
+            assert 1 <= len(ranges) <= most, (work, ranges)
+            if len(set(work)) == 1:
+                assert len(ranges) == most, (work, ranges)
+            assert max(sum(work[a:b]) for a, b in ranges) <= total / len(ranges) + max(work), (work, ranges)
+            hit |= [len(ranges) == 1 < len(work), len(ranges) > 1, len(ranges) < most]
+    assert hit.all() or workers == 1
 
 
 def test_pair_table_counts_are_the_same_on_any_worker_count(monkeypatch):
@@ -756,7 +795,11 @@ def test_counters_split_only_calls_above_the_work_floor(monkeypatch):
     One thread: a ties2d class (40 points, 6 queries) and the 50-point
     block transform of exact2d_stream (30 queries).  Two threads: the
     exact2d_stream count (150 points, 30 queries) and the kernel call of
-    a sim1_mc2d class (150 queries against 20 000 triangles).
+    a sim1_mc2d class (150 queries against 20 000 triangles).  1-D pair
+    counting makes no thread block even with the floor at one cell: A7's
+    call (2 queries, 10 000 values, 1 sigma) and 30 queries against 5000
+    values take the per-query rule, and sim4_1d's shape (300 gap queries,
+    200 values, 21 sigmas) the sorted pair ends.
     """
     monkeypatch.setattr(geometry, "_WORKERS", 2)
     made = _recorded_threads(monkeypatch)
@@ -772,6 +815,17 @@ def test_counters_split_only_calls_above_the_work_floor(monkeypatch):
         made.clear()
         counter.contains_counts(rng.standard_normal((q, 2)), [1.0, 2.0])
         assert made == [workers], (type(counter).__name__, q)
+    monkeypatch.setattr(geometry, "_MIN_JOB_CELLS", 1)
+    gap = np.concatenate([rng.uniform(-2.0, -1.0, 100), rng.uniform(1.0, 2.0, 100)])
+    calls_1d = [
+        (rng.standard_normal(10_000), rng.standard_normal(2), [2.0]),
+        (rng.standard_normal(5000), rng.standard_normal(30), [1.0, 2.0]),
+        (gap, rng.uniform(-1.0, 1.0, 300), np.linspace(1.0, 6.0, 21)),
+    ]
+    for values, queries, sigmas in calls_1d:
+        made.clear()
+        geometry.count_pairs_1d(values, queries, sigmas, 1e-9)
+        assert made == [], (len(values), len(queries))
 
 
 def test_tolerance_validation():
